@@ -103,17 +103,6 @@ class PolyModP:
         return acc
 
 
-def poly_add(a: PolyModP, b: PolyModP) -> PolyModP:
-    p = a.p
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        out[i] = c
-    for i, c in enumerate(b.coeffs):
-        out[i] = (out[i] + c) % p
-    return PolyModP(p, tuple(poly_trim(out)))
-
-
 def poly_sub(a: PolyModP, b: PolyModP) -> PolyModP:
     p = a.p
     n = max(len(a.coeffs), len(b.coeffs))
@@ -212,22 +201,6 @@ class Fp2:
     d: int
     chi: CharacterTable
 
-    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        a, b = x
-        c, e = y
-        p = self.p
-        return ((a * c + self.d * b * e) % p, (a * e + b * c) % p)
-
-    def pow(self, x: tuple[int, int], e: int) -> tuple[int, int]:
-        result = (1, 0)
-        acc = x
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
-
     def norm(self, x: tuple[int, int]) -> int:
         a, b = x
         return (a * a - self.d * b * b) % self.p
@@ -235,17 +208,6 @@ class Fp2:
     def chi2(self, x: tuple[int, int]) -> int:
         """Quadratic character of F_{p^2}, zero on zero."""
         return self.chi(self.norm(x))
-
-    def chi2_direct(self, x: tuple[int, int]) -> int:
-        """Reference implementation via x^((p^2-1)/2); slow, for testing."""
-        if x == (0, 0):
-            return 0
-        y = self.pow(x, (self.p * self.p - 1) // 2)
-        if y == (1, 0):
-            return 1
-        if y == (self.p - 1, 0):
-            return -1
-        raise AssertionError(f"character value {y} not +-1")
 
 
 def fp2_context(p: int) -> Fp2:

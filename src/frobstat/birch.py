@@ -57,22 +57,6 @@ def ap_distribution(p: int) -> ApDistribution:
     return ApDistribution(p=p, counts=counts, total=total)
 
 
-def singular_count(p: int) -> int:
-    """Direct count of (A, B) with 4A^3 + 27B^2 = 0 mod p (independent of
-    ap_distribution's masking; used to verify it equals p)."""
-    n = 0
-    for a in range(p):
-        for b in range(p):
-            if (4 * a**3 + 27 * b * b) % p == 0:
-                n += 1
-    return n
-
-
-def birch_moment(dist: ApDistribution, d: int) -> Fraction:
-    """Exact d-th power moment of the trace over the nonsingular pairs."""
-    return dist.moment(d)
-
-
 def birch_formula(p: int, d: int, tau_p: Optional[int] = None) -> Fraction:
     """Closed-form value of the d-th moment, even d in 2..10.
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .birch import ap_distribution, birch_formula, tau_of_prime
 from .chebotarev import chebotarev_scan, parse_cycles
 from .counting import WeilBoundError
-from .haar import catalog, exact_moment
+from .haar import catalog, exact_moment, moment_orders
 from .lpoly import LPolyValidationError
 from .scan import ScanConfig, read_records, run_scan, write_records
 from .stats import (
@@ -86,7 +86,6 @@ def _cmd_scan(args) -> int:
         n=args.N,
         label=args.label,
         threads=args.threads,
-        seed=args.seed,
         out=args.out,
     )
     _, records = run_scan(cfg)
@@ -177,11 +176,8 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
     rows = []
     for entry in catalog():
-        dmax = 8
-        for d1 in range(dmax + 1):
-            top = 0 if entry.genus == 1 else (dmax - d1) // 2
-            for d2 in range(top + 1):
-                rows.append((entry.id, d1, d2, _rat(exact_moment(entry.id, d1, d2))))
+        for d1, d2 in [(0, 0)] + moment_orders(entry.genus, 8):
+            rows.append((entry.id, d1, d2, _rat(exact_moment(entry.id, d1, d2))))
         for stat, value, mass in entry.point_masses:
             rows.append((entry.id, f"mass_{stat}", _rat(value), _rat(mass)))
     _emit(args, ["group_id", "d1", "d2", "value"], rows)
@@ -239,13 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="count a curve at all good primes <= N")
     p.add_argument("--f", required=True, help="ascending coefficients of f, e.g. 1,1,0,1")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--label", default="")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_scan)
 

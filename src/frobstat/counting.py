@@ -181,15 +181,20 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     return n
 
 
-def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
-    chi = character_table(p)
-    chi_np = np.array(chi.values, dtype=np.int64)
-    coeffs = [a % p for a in curve.f_coeffs]
+def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
+    """f(x) mod p at every x in F_p by Horner; coeffs ascending, reduced."""
     x = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for a in reversed(coeffs):
         acc = (acc * x + a) % p
-    affine = p + int(chi_np[acc].sum())
+    return acc
+
+
+def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
+    chi = character_table(p)
+    chi_np = np.array(chi.values, dtype=np.int64)
+    values = _values_mod_p([a % p for a in curve.f_coeffs], p)
+    affine = p + int(chi_np[values].sum())
     if curve.degree % 2 == 1:
         inf = 1
     else:
@@ -210,11 +215,7 @@ def _count_ext2(curve: HyperellipticCurve, p: int, chunk: int = 128) -> int:
     coeffs = [a % p for a in curve.f_coeffs]
 
     # b = 0 row: x in F_p, f(x) in F_p, chi2 = 1 unless f(x) = 0
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for a in reversed(coeffs):
-        acc = (acc * x + a) % p
-    zeros_in_fp = int((acc == 0).sum())
+    zeros_in_fp = int((_values_mod_p(coeffs, p) == 0).sum())
     char_sum = p - zeros_in_fp
 
     a_row = np.arange(p, dtype=np.int64)[None, :]

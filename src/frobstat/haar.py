@@ -1,10 +1,14 @@
 """Sato-Tate groups for genus 1 and 2: exact Haar moments and samplers.
 
-Each implemented group is stored with its torus eigenvalue pattern (Laurent
-monomials in 1 or 2 variables) and its Weyl integration density, an exact
-Laurent polynomial whose constant term is 1.  The Haar expectation of
-a1^d1 * a2^d2 is then the constant term of character^powers * density,
-computed in exact rational arithmetic.
+Each group is declared once, as data: `laws` names the Haar law of each
+torus factor of the identity component ("u1", "su2", or the rank-2 "usp4")
+acting on an eigenvalue pattern of Laurent monomials, and `coset_a1` gives
+the a1 value of the single class forming each other component; Haar
+measure weighs all components equally.  The Weyl density (an exact Laurent
+polynomial with constant term 1), the component count, the point masses and
+the sampler all follow.  The Haar expectation of a1^d1 * a2^d2 averages,
+over components, the constant term of character^powers * density on the
+torus and a1^d1 on each coset, in exact rational arithmetic.
 
 Conventions: a1 and a2 are the first and second elementary symmetric
 functions of the normalized Frobenius eigenvalues.  Every implemented group
@@ -18,10 +22,11 @@ classification: 52 finite-extension rows across the six connected parts,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import comb, pi
 from typing import Optional
 
@@ -35,14 +40,11 @@ __all__ = [
     "AxiomReport",
     "catalog",
     "get_entry",
-    "weyl_density",
     "coeff_character",
     "exact_moment",
-    "component_moment",
-    "theoretical_density",
+    "moment_orders",
     "closed_form_moment",
     "sample_classes",
-    "sample_class",
     "trace_stats",
     "st_axiom_check",
 ]
@@ -63,19 +65,101 @@ class ComponentRow:
     q_realizable: bool
 
 
+def _u1_density(nvars: int, var: int) -> LaurentPoly:
+    """Haar measure on U(1) is uniform: density 1."""
+    return LaurentPoly.constant(nvars, 1)
+
+
+def _su2_density(nvars: int, var: int) -> LaurentPoly:
+    """Weyl density of SU(2) in variable `var`: 1 - z^2/2 - z^-2/2."""
+    up = [0] * nvars
+    dn = [0] * nvars
+    up[var], dn[var] = 2, -2
+    return (
+        LaurentPoly.constant(nvars, 1)
+        - LaurentPoly.monomial(up, Fraction(1, 2))
+        - LaurentPoly.monomial(dn, Fraction(1, 2))
+    )
+
+
+def _usp4_density(nvars: int, var: int) -> LaurentPoly:
+    """Weyl density of USp(4) on variables var, var+1: (1/8) prod (1 - z^alpha).
+
+    Root system C2: alpha in {(+-2,0), (0,+-2), (+-1,+-1)}.  The constant
+    term must come out to exactly 1 (the Weyl group has order 8); this is
+    asserted here and cross-checked against a matrix Monte Carlo oracle in
+    the test suite.
+    """
+    roots = [(2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, -1), (1, -1), (-1, 1)]
+    prod = LaurentPoly.constant(nvars, 1)
+    for alpha in roots:
+        exps = [0] * nvars
+        exps[var : var + 2] = alpha
+        prod = prod * (LaurentPoly.constant(nvars, 1) - LaurentPoly.monomial(exps))
+    dens = prod * Fraction(1, 8)
+    assert dens.constant_term() == 1, "USp(4) Weyl density misnormalized"
+    return dens
+
+
+# per torus law: (number of torus variables, function making its Weyl density)
+_LAWS = {"u1": (1, _u1_density), "su2": (1, _su2_density), "usp4": (2, _usp4_density)}
+
+
+def _weyl_density(laws: tuple[str, ...], nvars: int) -> LaurentPoly:
+    """Product of the laws' densities, each on its own torus variables."""
+    factors, var = [], 0
+    for law in laws:
+        width, build = _LAWS[law]
+        factors.append(build(nvars, var))
+        var += width
+    return reduce(LaurentPoly.__mul__, factors)
+
+
 @dataclass(frozen=True)
 class STGroupEntry:
+    """One Sato-Tate group: identity component and components, as data.
+
+    laws: the Haar law of each torus factor of the identity component, in
+    the variable order of eigenvalue_pattern.  coset_a1: the exact a1 of
+    the single class forming each non-identity component (genus 1 only,
+    where a1 fixes the class).  weyl_density is built from laws unless
+    given, so a test can substitute a broken one.
+    """
+
     id: str
     genus: int
-    torus_rank: int
     eigenvalue_pattern: tuple[tuple[int, ...], ...]
-    weyl_density: LaurentPoly
-    q_realizable: bool
+    laws: tuple[str, ...]
     end_algebra: str = ""  # End(A) tensor R for the generic member, genus 2
-    n_components: int = 1
-    component_rows: tuple[ComponentRow, ...] = field(default=())
-    point_masses: tuple[tuple[str, Fraction, Fraction], ...] = field(default=())
-    closed_form: Optional[str] = None
+    component_rows: tuple[ComponentRow, ...] = ()
+    coset_a1: tuple[int, ...] = ()
+    weyl_density: Optional[LaurentPoly] = None
+
+    def __post_init__(self):
+        if sum(_LAWS[law][0] for law in self.laws) != self.torus_rank:
+            raise ValueError(f"{self.id}: laws {self.laws} do not cover the torus")
+        if self.coset_a1 and self.genus != 1:
+            raise ValueError(f"{self.id}: coset classes are declared by a1 in genus 1 only")
+        if self.weyl_density is None:
+            object.__setattr__(
+                self, "weyl_density", _weyl_density(self.laws, self.torus_rank)
+            )
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.eigenvalue_pattern[0])
+
+    @property
+    def n_components(self) -> int:
+        return 1 + len(self.coset_a1)
+
+    @property
+    def point_masses(self) -> tuple[tuple[str, Fraction, Fraction], ...]:
+        """(statistic, value, mass) for each a1 value a coset class takes."""
+        return tuple(
+            ("a1", Fraction(a), Fraction(k, self.n_components))
+            for a, k in Counter(self.coset_a1).items()
+        )
 
     @property
     def components(self) -> list[tuple[str, int]]:
@@ -94,35 +178,6 @@ class STGroupEntry:
             if stat == statistic and val == v:
                 return mass
         return Fraction(0)
-
-
-def _su2_density(nvars: int, var: int) -> LaurentPoly:
-    """Weyl density of SU(2) in variable `var`: 1 - z^2/2 - z^-2/2."""
-    up = [0] * nvars
-    dn = [0] * nvars
-    up[var], dn[var] = 2, -2
-    return (
-        LaurentPoly.constant(nvars, 1)
-        - LaurentPoly.monomial(up, Fraction(1, 2))
-        - LaurentPoly.monomial(dn, Fraction(1, 2))
-    )
-
-
-def _usp4_density() -> LaurentPoly:
-    """Weyl density of USp(4): (1/8) prod over the 8 roots of (1 - z^alpha).
-
-    Root system C2: alpha in {(+-2,0), (0,+-2), (+-1,+-1)}.  The constant
-    term must come out to exactly 1 (the Weyl group has order 8); this is
-    asserted here and cross-checked against a matrix Monte Carlo oracle in
-    the test suite.
-    """
-    roots = [(2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-    prod = LaurentPoly.constant(2, 1)
-    for alpha in roots:
-        prod = prod * (LaurentPoly.constant(2, 1) - LaurentPoly.monomial(alpha))
-    dens = prod * Fraction(1, 8)
-    assert dens.constant_term() == 1, "USp(4) Weyl density misnormalized"
-    return dens
 
 
 _PAIR_1 = ((1,), (-1,))
@@ -203,111 +258,22 @@ def _rows(raw) -> tuple[ComponentRow, ...]:
 @lru_cache(maxsize=1)
 def catalog() -> tuple[STGroupEntry, ...]:
     """All implemented group entries, genus 1 first, in fixed order."""
-    one1 = LaurentPoly.constant(1, 1)
-    su2_1 = _su2_density(1, 0)
-    entries = [
-        STGroupEntry(
-            id="U(1)",
-            genus=1,
-            torus_rank=1,
-            eigenvalue_pattern=_PAIR_1,
-            weyl_density=one1,
-            q_realizable=True,
-            n_components=1,
-            component_rows=_rows((("C1", "U(1)", True),)),
-            closed_form="central_binomial",
-        ),
-        STGroupEntry(
-            id="SU(2)",
-            genus=1,
-            torus_rank=1,
-            eigenvalue_pattern=_PAIR_1,
-            weyl_density=su2_1,
-            q_realizable=True,
-            n_components=1,
-            component_rows=_rows((("C1", "SU(2)", True),)),
-            closed_form="catalan",
-        ),
-        STGroupEntry(
-            id="N(U(1))",
-            genus=1,
-            torus_rank=1,
-            eigenvalue_pattern=_PAIR_1,
-            weyl_density=one1,  # identity component only
-            q_realizable=True,
-            n_components=2,
-            component_rows=_rows((("C2", "N(U(1))", True),)),
-            point_masses=(("a1", Fraction(0), Fraction(1, 2)),),
-            closed_form="half_central_binomial",
-        ),
-        STGroupEntry(
-            id="U(1)_2",
-            genus=2,
-            torus_rank=1,
-            eigenvalue_pattern=_DIAG_2,
-            weyl_density=one1,
-            q_realizable=True,
-            end_algebra="M2(C)",
-            n_components=1,
-            component_rows=_rows(_U1_2_ROWS),
-        ),
-        STGroupEntry(
-            id="SU(2)_2",
-            genus=2,
-            torus_rank=1,
-            eigenvalue_pattern=_DIAG_2,
-            weyl_density=su2_1,
-            q_realizable=True,
-            end_algebra="M2(R)",
-            n_components=1,
-            component_rows=_rows(_SU2_2_ROWS),
-        ),
-        STGroupEntry(
-            id="U(1)xU(1)",
-            genus=2,
-            torus_rank=2,
-            eigenvalue_pattern=_SPLIT_2,
-            weyl_density=LaurentPoly.constant(2, 1),
-            q_realizable=True,
-            end_algebra="CxC",
-            n_components=1,
-            component_rows=_rows(_U1XU1_ROWS),
-        ),
-        STGroupEntry(
-            id="U(1)xSU(2)",
-            genus=2,
-            torus_rank=2,
-            eigenvalue_pattern=_SPLIT_2,
-            weyl_density=_su2_density(2, 1),
-            q_realizable=True,
-            end_algebra="RxC",
-            n_components=1,
-            component_rows=_rows(_U1XSU2_ROWS),
-        ),
-        STGroupEntry(
-            id="SU(2)xSU(2)",
-            genus=2,
-            torus_rank=2,
-            eigenvalue_pattern=_SPLIT_2,
-            weyl_density=_su2_density(2, 0) * _su2_density(2, 1),
-            q_realizable=True,
-            end_algebra="RxR",
-            n_components=1,
-            component_rows=_rows(_SU2XSU2_ROWS),
-        ),
-        STGroupEntry(
-            id="USp(4)",
-            genus=2,
-            torus_rank=2,
-            eigenvalue_pattern=_SPLIT_2,
-            weyl_density=_usp4_density(),
-            q_realizable=True,
-            end_algebra="R",
-            n_components=1,
-            component_rows=_rows(_USP4_ROWS),
-        ),
-    ]
-    return tuple(entries)
+    return (
+        STGroupEntry("U(1)", 1, _PAIR_1, ("u1",),
+                     component_rows=_rows((("C1", "U(1)", True),))),
+        STGroupEntry("SU(2)", 1, _PAIR_1, ("su2",),
+                     component_rows=_rows((("C1", "SU(2)", True),))),
+        # the reflection component is the single class with eigenvalues +-i
+        STGroupEntry("N(U(1))", 1, _PAIR_1, ("u1",),
+                     component_rows=_rows((("C2", "N(U(1))", True),)), coset_a1=(0,)),
+        STGroupEntry("U(1)_2", 2, _DIAG_2, ("u1",), "M2(C)", _rows(_U1_2_ROWS)),
+        STGroupEntry("SU(2)_2", 2, _DIAG_2, ("su2",), "M2(R)", _rows(_SU2_2_ROWS)),
+        STGroupEntry("U(1)xU(1)", 2, _SPLIT_2, ("u1", "u1"), "CxC", _rows(_U1XU1_ROWS)),
+        STGroupEntry("U(1)xSU(2)", 2, _SPLIT_2, ("u1", "su2"), "RxC", _rows(_U1XSU2_ROWS)),
+        STGroupEntry("SU(2)xSU(2)", 2, _SPLIT_2, ("su2", "su2"), "RxR",
+                     _rows(_SU2XSU2_ROWS)),
+        STGroupEntry("USp(4)", 2, _SPLIT_2, ("usp4",), "R", _rows(_USP4_ROWS)),
+    )
 
 
 def get_entry(group_id: str) -> STGroupEntry:
@@ -315,10 +281,6 @@ def get_entry(group_id: str) -> STGroupEntry:
         if e.id == group_id:
             return e
     raise KeyError(f"unknown group id {group_id!r}")
-
-
-def weyl_density(group_id: str) -> LaurentPoly:
-    return get_entry(group_id).weyl_density
 
 
 def _elementary(pattern, nvars: int, k: int) -> LaurentPoly:
@@ -337,50 +299,40 @@ def coeff_character(group_id: str, k: int) -> LaurentPoly:
     return _elementary(entry.eigenvalue_pattern, entry.torus_rank, k)
 
 
+def moment_orders(genus: int, dmax: int) -> list[tuple[int, int]]:
+    """(d1, d2) pairs with weight d1 + 2*d2 <= dmax, excluding (0, 0), in
+    ascending (d1, d2) order; d2 is always 0 in genus 1."""
+    out = []
+    for d1 in range(dmax + 1):
+        top = 0 if genus == 1 else (dmax - d1) // 2
+        for d2 in range(top + 1):
+            if d1 or d2:
+                out.append((d1, d2))
+    return out
+
+
 def _entry_moment(entry: STGroupEntry, d1: int, d2: int) -> Fraction:
     if d1 < 0 or d2 < 0:
         raise ValueError("moment orders must be nonnegative")
     if entry.genus == 1 and d2 != 0:
         raise ValueError(f"{entry.id} is genus 1; a2 moments undefined")
-    if entry.id == "N(U(1))":
-        # average over the two components; a1 vanishes identically on the
-        # reflection component
-        torus = _entry_moment(get_entry("U(1)"), d1, 0)
-        refl = Fraction(1) if d1 == 0 else Fraction(0)
-        return (torus + refl) / 2
     rank = entry.torus_rank
     integrand = _elementary(entry.eigenvalue_pattern, rank, 1) ** d1
     if d2:
         integrand = integrand * _elementary(entry.eigenvalue_pattern, rank, 2) ** d2
-    return (integrand * entry.weyl_density).constant_term()
+    torus = (integrand * entry.weyl_density).constant_term()
+    cosets = sum(Fraction(a) ** d1 for a in entry.coset_a1)
+    return (torus + cosets) / entry.n_components
 
 
 @lru_cache(maxsize=4096)
 def exact_moment(group_id: str, d1: int, d2: int = 0) -> Fraction:
     """Haar expectation of a1^d1 * a2^d2, exact.
 
-    For the two-component group N(U(1)) this is the average over components:
-    the identity component integrates against the torus, the reflection
-    component has a1 identically 0.
+    Averages over components: the identity component integrates against
+    the torus, each coset contributes its class's a1^d1.
     """
     return _entry_moment(get_entry(group_id), d1, d2)
-
-
-def component_moment(group_id: str, d: int) -> Fraction:
-    """a1 moment averaged over components (equals exact_moment when the
-    group is connected)."""
-    return exact_moment(group_id, d, 0)
-
-
-def theoretical_density(group_id: str, statistic: str, value) -> Fraction:
-    """Exact point mass of the named statistic at the given value.
-
-    Connected groups have continuous spectra: mass 0 everywhere.  N(U(1))
-    carries mass 1/2 at a1 = 0 from its reflection component.
-    """
-    if statistic not in ("a1", "a2"):
-        raise ValueError("statistic must be 'a1' or 'a2'")
-    return get_entry(group_id).point_mass(statistic, value)
 
 
 def closed_form_moment(kind: str, d: int) -> Fraction:
@@ -449,45 +401,33 @@ def _draw_usp4(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
+_SAMPLERS = {"u1": _draw_u1, "su2": _draw_su2, "usp4": _draw_usp4}
+
+
+def _draw_torus(entry: STGroupEntry, rng: np.random.Generator, n: int) -> np.ndarray:
+    angles = np.column_stack([_SAMPLERS[law](rng, n) for law in entry.laws])
+    return np.repeat(angles, entry.genus // entry.torus_rank, axis=1)
+
+
 def sample_classes(group_id: str, n: int, seed: int) -> np.ndarray:
     """n conjugacy classes as eigenangle rows, deterministic in seed.
 
     Shape (n, genus).  Rank-1 genus-2 groups return duplicated columns
     because their eigenvalues come in the doubled pattern (u, u, 1/u, 1/u).
+    A disconnected group first draws each row's component uniformly; coset
+    rows sit at the angle arccos(a1/2) of their class.
     """
     entry = get_entry(group_id)
     rng = np.random.default_rng(seed)
-    gid = entry.id
-    if gid in ("U(1)", "SU(2)", "N(U(1))"):
-        if gid == "U(1)":
-            theta = _draw_u1(rng, n)
-        elif gid == "SU(2)":
-            theta = _draw_su2(rng, n)
-        else:
-            # fair coin between the torus and the reflection component;
-            # reflection classes all have eigenangle pi/2
-            refl = rng.integers(0, 2, n).astype(bool)
-            theta = np.full(n, pi / 2)
-            k = int((~refl).sum())
-            theta[~refl] = _draw_u1(rng, k)
-        return theta[:, None]
-    if gid in ("U(1)_2", "SU(2)_2"):
-        theta = _draw_u1(rng, n) if gid == "U(1)_2" else _draw_su2(rng, n)
-        return np.repeat(theta[:, None], 2, axis=1)
-    if gid == "U(1)xU(1)":
-        return np.column_stack([_draw_u1(rng, n), _draw_u1(rng, n)])
-    if gid == "U(1)xSU(2)":
-        return np.column_stack([_draw_u1(rng, n), _draw_su2(rng, n)])
-    if gid == "SU(2)xSU(2)":
-        return np.column_stack([_draw_su2(rng, n), _draw_su2(rng, n)])
-    if gid == "USp(4)":
-        return _draw_usp4(rng, n)
-    raise KeyError(f"no sampler for {group_id!r}")
-
-
-def sample_class(group_id: str, seed: int) -> tuple[float, ...]:
-    """One class; per-call seeds make index-split parallel draws exact."""
-    return tuple(sample_classes(group_id, 1, seed)[0])
+    if not entry.coset_a1:
+        return _draw_torus(entry, rng, n)
+    component = rng.integers(0, entry.n_components, n)
+    out = np.empty((n, entry.genus))
+    torus = component == 0
+    out[torus] = _draw_torus(entry, rng, int(torus.sum()))
+    for j, a in enumerate(entry.coset_a1, start=1):
+        out[component == j] = np.arccos(a / 2)
+    return out
 
 
 def trace_stats(genus: int, angles: np.ndarray):
@@ -534,26 +474,21 @@ def st_axiom_check(entry: STGroupEntry, max_weight: int = 12) -> AxiomReport:
         failures.append("ST1: density constant term is not 1")
 
     want = sorted([1] * entry.genus + [-1] * entry.genus)
-    rank = entry.torus_rank
-    found = False
-    for m in _nonzero_vectors(rank, 4):
-        image = sorted(sum(ei * mi for ei, mi in zip(e, m)) for e in pattern)
-        if image == want:
-            found = True
-            break
-    if not found:
+    box = product(range(-4, 5), repeat=entry.torus_rank)
+    if not any(
+        sorted(sum(ei * mi for ei, mi in zip(e, m)) for e in pattern) == want
+        for m in box
+    ):
         failures.append(
             f"ST2: no one-parameter substitution gives the pattern {want}"
         )
 
-    for d1 in range(max_weight + 1):
-        top = 0 if entry.genus == 1 else (max_weight - d1) // 2
-        for d2 in range(top + 1):
-            m = _entry_moment(entry, d1, d2)
-            if m.denominator != 1 or m < 0:
-                failures.append(
-                    f"ST3: moment ({d1},{d2}) = {m} is not a nonnegative integer"
-                )
+    for d1, d2 in [(0, 0)] + moment_orders(entry.genus, max_weight):
+        m = _entry_moment(entry, d1, d2)
+        if m.denominator != 1 or m < 0:
+            failures.append(
+                f"ST3: moment ({d1},{d2}) = {m} is not a nonnegative integer"
+            )
     return AxiomReport(
         group_id=entry.id,
         ok=not failures,
@@ -561,15 +496,3 @@ def st_axiom_check(entry: STGroupEntry, max_weight: int = 12) -> AxiomReport:
         unverified=("ST2: non-factoring of the one-parameter subgroup",),
     )
 
-
-def _nonzero_vectors(rank: int, bound: int):
-    rng = range(-bound, bound + 1)
-    if rank == 1:
-        for a in rng:
-            if a:
-                yield (a,)
-    else:
-        for a in rng:
-            for b in rng:
-                if a or b:
-                    yield (a, b)

@@ -1,9 +1,9 @@
 """Scan pipeline: count a curve at every good prime up to a bound and emit
 one JSONL record per prime, ascending.
 
-Output is byte-identical for identical configs regardless of thread count
-or seed: workers only parallelize the per-prime counting, and the merge is
-ordered by p before anything is written.
+Output is byte-identical for identical configs regardless of thread count:
+workers only parallelize the per-prime counting, and the merge is ordered
+by p before anything is written.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class ScanConfig:
     n: int
     label: str = ""
     threads: int = 1
-    seed: int = 0  # carried for uniformity; the scan itself is seed-free
     out: Optional[str] = None
 
 

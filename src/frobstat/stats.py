@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .haar import STGroupEntry, catalog, exact_moment
+from .haar import STGroupEntry, catalog, exact_moment, moment_orders
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,25 @@ class ScanRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScanRecord":
-        return cls(
-            p=d["p"],
-            n1=d["n1"],
-            c1=d["c1"],
-            a1bar=d["a1bar"],
-            n2=d.get("n2"),
-            c2=d.get("c2"),
-            a2bar=d.get("a2bar"),
-        )
+        """Build a record from one parsed JSONL line; ValueError when the
+        line is not an object, a field has the wrong type, or the genus-2
+        fields n2, c2, a2bar are not all present or all absent."""
+        try:
+            p, n1, c1, a1bar = d["p"], d["n1"], d["c1"], d["a1bar"]
+            n2, c2, a2bar = d.get("n2"), d.get("c2"), d.get("a2bar")
+        except (TypeError, KeyError):
+            raise ValueError(f"not a scan record: {d!r}") from None
+        genus1 = n2 is None and c2 is None and a2bar is None
+        if (
+            type(p) is not int or type(n1) is not int or type(c1) is not int
+            or type(a1bar) not in (int, float)
+            or not genus1 and (
+                type(n2) is not int or type(c2) is not int
+                or type(a2bar) not in (int, float)
+            )
+        ):
+            raise ValueError(f"scan record field missing or mistyped: {d!r}")
+        return cls(p=p, n1=n1, c1=c1, a1bar=a1bar, n2=n2, c2=c2, a2bar=a2bar)
 
 
 @dataclass
@@ -74,17 +84,6 @@ class MomentTable:
     prefix: dict[tuple[int, int], tuple[tuple[int, float], ...]] = field(
         default_factory=dict
     )
-
-
-def moment_orders(genus: int, dmax: int) -> list[tuple[int, int]]:
-    """(d1, d2) pairs with weight d1 + 2*d2 <= dmax, excluding (0, 0)."""
-    out = []
-    for d1 in range(dmax + 1):
-        top = 0 if genus == 1 else (dmax - d1) // 2
-        for d2 in range(top + 1):
-            if d1 or d2:
-                out.append((d1, d2))
-    return out
 
 
 def empirical_moments(records: Sequence[ScanRecord], dmax: int = 8) -> MomentTable:

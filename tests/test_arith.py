@@ -8,7 +8,6 @@ from frobstat.arith import (
     character_table,
     fp2_context,
     is_prime,
-    poly_add,
     poly_derivative,
     poly_divmod,
     poly_gcd,
@@ -19,6 +18,8 @@ from frobstat.arith import (
     poly_trim,
     sieve_primes,
 )
+
+from oracles import chi2_direct, fp2_mul, poly_add
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -73,7 +74,7 @@ def test_fp2_character_matches_direct_power(p):
     ctx = fp2_context(p)
     for a in range(p):
         for b in range(p):
-            assert ctx.chi2((a, b)) == ctx.chi2_direct((a, b))
+            assert ctx.chi2((a, b)) == chi2_direct(ctx, (a, b))
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -82,7 +83,7 @@ def test_fp2_norm_is_multiplicative(p):
     elems = [(a, b) for a in range(p) for b in range(p)]
     for x in elems[:40]:
         for y in elems[:40]:
-            assert ctx.norm(ctx.mul(x, y)) == ctx.norm(x) * ctx.norm(y) % p
+            assert ctx.norm(fp2_mul(ctx, x, y)) == ctx.norm(x) * ctx.norm(y) % p
     # norm restricted to the base field is squaring
     for a in range(p):
         assert ctx.norm((a, 0)) == a * a % p

@@ -5,13 +5,13 @@ import pytest
 from frobstat.birch import (
     ap_distribution,
     birch_formula,
-    birch_moment,
     catalan_trend,
     ramanujan_tau,
-    singular_count,
     tau_of_prime,
 )
 from frobstat.haar import closed_form_moment
+
+from oracles import singular_count
 
 
 def _slow_distribution(p):
@@ -52,15 +52,15 @@ def test_singular_locus_has_exactly_p_points(p):
 def test_even_moment_formulas_reconcile_exactly(p):
     dist = ap_distribution(p)
     for d in (2, 4, 6, 8):
-        assert birch_moment(dist, d) == birch_formula(p, d)
-    assert birch_moment(dist, 10) == birch_formula(p, 10, tau_p=tau_of_prime(p))
+        assert dist.moment(d) == birch_formula(p, d)
+    assert dist.moment(10) == birch_formula(p, 10, tau_p=tau_of_prime(p))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_odd_moments_vanish_and_twists_pair_up(p):
     dist = ap_distribution(p)
     for d in (1, 3, 5, 7, 9):
-        assert birch_moment(dist, d) == 0
+        assert dist.moment(d) == 0
     # quadratic twisting negates the trace, so the tally is symmetric
     for a, c in dist.counts.items():
         assert dist.counts.get(-a, 0) == c
@@ -76,9 +76,9 @@ def test_distribution_frozen_small_case():
     dist = ap_distribution(5)
     assert dist.counts == {-4: 1, -3: 2, -2: 3, -1: 2, 0: 4, 1: 2, 2: 3,
                            3: 2, 4: 1}
-    assert birch_moment(dist, 2) == Fraction(24, 5)
-    assert birch_moment(dist, 4) == Fraction(234, 5)
-    assert birch_moment(dist, 10) == Fraction(584874, 5)
+    assert dist.moment(2) == Fraction(24, 5)
+    assert dist.moment(4) == Fraction(234, 5)
+    assert dist.moment(10) == Fraction(584874, 5)
 
 
 def test_rejects_bad_primes():

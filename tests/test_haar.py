@@ -9,15 +9,11 @@ from frobstat.haar import (
     catalog,
     closed_form_moment,
     coeff_character,
-    component_moment,
     exact_moment,
     get_entry,
-    sample_class,
     sample_classes,
     st_axiom_check,
-    theoretical_density,
     trace_stats,
-    weyl_density,
 )
 from frobstat.laurent import LaurentPoly
 
@@ -50,14 +46,13 @@ def test_genus1_even_moments_match_closed_forms():
 
 
 def test_normalizer_mass_and_component_average():
-    assert theoretical_density("N(U(1))", "a1", 0) == Fraction(1, 2)
-    assert theoretical_density("SU(2)", "a1", 0) == 0
-    assert theoretical_density("U(1)", "a1", 0) == 0
+    assert get_entry("N(U(1))").point_mass("a1", 0) == Fraction(1, 2)
+    assert get_entry("SU(2)").point_mass("a1", 0) == 0
+    assert get_entry("U(1)").point_mass("a1", 0) == 0
     # averaging over the two components halves the torus moments
     for d in (2, 4, 6, 8):
         assert exact_moment("N(U(1))", d) == exact_moment("U(1)", d) / 2
     assert exact_moment("N(U(1))", 0) == 1
-    assert component_moment("N(U(1))", 4) == exact_moment("N(U(1))", 4)
 
 
 # -- independent exact reductions for the genus-2 groups -------------------
@@ -217,7 +212,6 @@ def test_catalog_structure():
         # patterns closed under inversion
         neg = sorted(tuple(-x for x in m) for m in e.eigenvalue_pattern)
         assert neg == sorted(e.eigenvalue_pattern)
-    assert get_entry("SU(2)").closed_form == "catalan"
     with pytest.raises(KeyError):
         get_entry("SO(5)")
 
@@ -263,9 +257,29 @@ def test_coeff_character_values():
         coeff_character("SU(2)", 3)
 
 
-def test_weyl_density_lookup_matches_catalog():
+def test_weyl_density_derived_from_laws():
+    # each law's density in angle form: U(1) is 1, SU(2) is 2 sin^2 t and
+    # USp(4) is 8 sin^2 t1 sin^2 t2 (cos t1 - cos t2)^2, the shapes the
+    # samplers draw from
+    t1, t2 = np.random.default_rng(0).uniform(0, math.pi, (2, 50))
+    one = np.ones_like(t1)
+    su2_1, su2_2 = 2 * np.sin(t1) ** 2, 2 * np.sin(t2) ** 2
+    expected = {
+        "U(1)": one, "SU(2)": su2_1, "N(U(1))": one,
+        "U(1)_2": one, "SU(2)_2": su2_1, "U(1)xU(1)": one,
+        "U(1)xSU(2)": su2_2, "SU(2)xSU(2)": su2_1 * su2_2,
+        "USp(4)": 8 * (np.sin(t1) * np.sin(t2) * (np.cos(t1) - np.cos(t2))) ** 2,
+    }
     for e in catalog():
-        assert weyl_density(e.id) == e.weyl_density
+        angles = (t1, t2)[: e.torus_rank]
+        np.testing.assert_allclose(
+            e.weyl_density.eval_angles(*angles), expected[e.id], atol=1e-12,
+            err_msg=e.id)
+    split = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    with pytest.raises(ValueError):
+        STGroupEntry("bad", 2, split, ("su2",))
+    with pytest.raises(ValueError):
+        STGroupEntry("bad", 2, split, ("u1", "u1"), coset_a1=(0,))
 
 
 def test_axioms_pass_for_all_catalog_entries():
@@ -276,14 +290,13 @@ def test_axioms_pass_for_all_catalog_entries():
         assert any("ST2" in note for note in report.unverified)
 
 
-def _synthetic(pattern, density, rank=1, genus=1):
+def _synthetic(pattern, density, genus=1):
     return STGroupEntry(
         id="synthetic",
         genus=genus,
-        torus_rank=rank,
         eigenvalue_pattern=pattern,
+        laws=("u1",),
         weyl_density=density,
-        q_realizable=False,
     )
 
 
@@ -339,8 +352,8 @@ def test_sample_shapes_and_ranges():
         s = sample_classes(gid, 1000, seed=1)
         assert s.shape == (1000, 2)
         assert np.all((s >= 0) & (s <= math.pi))
-    single = sample_class("SU(2)", seed=9)
-    assert isinstance(single, tuple) and len(single) == 1
+    single = sample_classes("SU(2)", 1, seed=9)[0]
+    assert single.shape == (1,)
 
 
 def test_trace_stats_formulas():

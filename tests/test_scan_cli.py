@@ -215,7 +215,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert cli.main(["moments", "--in", str(empty)]) == 2
+    # options a subcommand does not use are rejected
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moments", "--in", str(tmp_path / "missing.jsonl"), "--seed", "1"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0.0}
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    "7",
+    "null",
+    json.dumps({k: v for k, v in GOOD_G2.items() if k != "a2bar"}),
+    json.dumps({k: v for k, v in GOOD_G2.items() if k != "n2"}),
+    json.dumps({"p": 5, "n1": 6, "c1": "0", "a1bar": 0.0}),
+    json.dumps({"p": 5.0, "n1": 6, "c1": 0, "a1bar": 0.0}),
+    json.dumps({"p": 5, "n1": 6, "c1": 0, "a1bar": None}),
+    json.dumps({**GOOD_G2, "c2": True}),
+])
+def test_cli_corrupt_scan_lines_exit_2(tmp_path, capsys, line):
+    scan = tmp_path / "corrupt.jsonl"
+    scan.write_text(line + "\n")
+    for command in ("moments", "classify"):
+        assert cli.main([command, "--in", str(scan)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_internal_failure_exit(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobstat.haar import catalog, exact_moment, theoretical_density
+from frobstat.haar import catalog, exact_moment, get_entry
 from frobstat.stats import (
     DensityStat,
     MomentStat,
@@ -150,7 +150,7 @@ def _theoretical_table(gid, genus):
 def _theoretical_densities(gid, genus, n=10**6):
     out = {}
     for stat, v in tracked_densities(genus):
-        mass = theoretical_density(gid, stat, v)
+        mass = get_entry(gid).point_mass(stat, v)
         hits = int(mass * n)
         out[(stat, v)] = DensityStat(statistic=stat, value=v, hits=hits, n=n)
     return out
