@@ -21,20 +21,20 @@ from frobstat.stats import (
     records_density_map,
 )
 
-# label, ascending f coefficients, group we expect the classifier to pick
+# ascending f coefficients, group we expect the classifier to pick
 CURVES = [
-    ("y^2 = x^3 + x + 1", [1, 1, 0, 1], "SU(2)"),
-    ("y^2 = x^3 + 1", [1, 0, 0, 1], "N(U(1))"),
-    ("y^2 = x^3 - x", [0, -1, 0, 1], "N(U(1))"),
-    ("y^2 = x^5 - x + 1", [1, -1, 0, 0, 0, 1], "USp(4)"),
-    ("y^2 = x^6 + 1", [1, 0, 0, 0, 0, 0, 1], None),  # split/CM type, for contrast
+    ([1, 1, 0, 1], "SU(2)"),  # y^2 = x^3 + x + 1
+    ([1, 0, 0, 1], "N(U(1))"),  # y^2 = x^3 + 1
+    ([0, -1, 0, 1], "N(U(1))"),  # y^2 = x^3 - x
+    ([1, -1, 0, 0, 0, 1], "USp(4)"),  # y^2 = x^5 - x + 1
+    ([1, 0, 0, 0, 0, 0, 1], None),  # y^2 = x^6 + 1, split/CM type, for contrast
 ]
 
 SHOW_ORDERS = [(2, 0), (4, 0), (6, 0), (0, 1), (0, 2), (2, 1)]
 
 
-def survey(label, coeffs, expect, n, threads):
-    curve = make_curve(coeffs, label)
+def survey(coeffs, expect, n, threads):
+    curve = make_curve(coeffs)
     t0 = time.perf_counter()
     records = scan_curve(curve, n, threads=threads)
     dt = time.perf_counter() - t0
@@ -75,11 +75,11 @@ def main():
                     help="genus-2 scans dominate the runtime; skip them")
     args = ap.parse_args()
 
-    for label, coeffs, expect in CURVES:
+    for coeffs, expect in CURVES:
         if args.skip_genus2 and len(coeffs) > 4:
             continue
         n = args.N if len(coeffs) <= 4 else min(args.N, 4096)
-        survey(label, coeffs, expect, n, args.threads)
+        survey(coeffs, expect, n, args.threads)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Modular arithmetic helpers: primes, quadratic characters, polynomials mod p.
 
 Everything here is exact integer arithmetic.  The quadratic character table
-and the degree-2 extension field F_{p^2} = F_p[t]/(t^2 - d) are the only
-pieces of field theory the rest of the package needs.
+(with its smallest nonresidue d, which defines F_{p^2} = F_p[t]/(t^2 - d)
+for the counting module) and dense polynomials over F_p for the
+factorization-shape scan are the only pieces of field theory the rest of
+the package needs.
 """
 
 from __future__ import annotations
@@ -96,12 +98,6 @@ class PolyModP:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = (acc * x + a) % self.p
-        return acc
-
 
 def poly_sub(a: PolyModP, b: PolyModP) -> PolyModP:
     p = a.p
@@ -183,33 +179,3 @@ def poly_derivative(a: PolyModP) -> PolyModP:
     p = a.p
     out = [i * c % p for i, c in enumerate(a.coeffs)][1:]
     return PolyModP(p, tuple(poly_trim(out)))
-
-
-# ---------------------------------------------------------------------------
-# F_{p^2} = F_p[t]/(t^2 - d), d the smallest quadratic nonresidue
-
-@dataclass(frozen=True)
-class Fp2:
-    """Arithmetic context for the quadratic extension of F_p.
-
-    Elements are pairs (a, b) meaning a + b*t with t^2 = d.  The Frobenius
-    x -> x^p sends t to -t, so the norm down to F_p is a^2 - d*b^2, and the
-    quadratic character of F_{p^2} is chi_p composed with the norm.
-    """
-
-    p: int
-    d: int
-    chi: CharacterTable
-
-    def norm(self, x: tuple[int, int]) -> int:
-        a, b = x
-        return (a * a - self.d * b * b) % self.p
-
-    def chi2(self, x: tuple[int, int]) -> int:
-        """Quadratic character of F_{p^2}, zero on zero."""
-        return self.chi(self.norm(x))
-
-
-def fp2_context(p: int) -> Fp2:
-    chi = character_table(p)
-    return Fp2(p=p, d=chi.nonresidue, chi=chi)

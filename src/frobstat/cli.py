@@ -84,7 +84,6 @@ def _cmd_scan(args) -> int:
     cfg = ScanConfig(
         f_coeffs=_parse_coeffs(args.f),
         n=args.N,
-        label=args.label,
         threads=args.threads,
         out=args.out,
     )
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="count a curve at all good primes <= N")
     p.add_argument("--f", required=True, help="ascending coefficients of f, e.g. 1,1,0,1")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--label", default="")
     p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_scan)
@@ -295,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
     try:
         return args.func(args)
     except (WeilBoundError, LPolyValidationError, AssertionError) as e:

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    PolyModP,
-    character_table,
-    fp2_context,
-    is_prime,
-    poly_derivative,
-    poly_gcd,
-    sieve_primes,
-)
+from .arith import character_table, is_prime, sieve_primes
+
+# the F_{p^2} count's lazy reduction keeps values below about 3.5 p^3,
+# which fits in int64 only for p below this bound
+EXT2_MAX_P = 10**6
+# rows of b values evaluated per numpy pass in the F_{p^2} count
+_EXT2_CHUNK = 128
 
 
 class BadReductionError(ValueError):
@@ -102,7 +100,6 @@ class HyperellipticCurve:
     f_coeffs: tuple[int, ...]
     genus: int
     disc: int
-    label: str = ""
 
     @property
     def degree(self) -> int:
@@ -127,7 +124,7 @@ class HyperellipticCurve:
         return "y^2 = " + " ".join(parts)
 
 
-def make_curve(f_coeffs, label: str = "") -> HyperellipticCurve:
+def make_curve(f_coeffs) -> HyperellipticCurve:
     c = [int(a) for a in f_coeffs]
     while c and c[-1] == 0:
         c.pop()
@@ -138,25 +135,25 @@ def make_curve(f_coeffs, label: str = "") -> HyperellipticCurve:
     if disc == 0:
         raise ValueError("f must be squarefree (nonzero discriminant)")
     genus = 1 if deg <= 4 else 2
-    return HyperellipticCurve(f_coeffs=tuple(c), genus=genus, disc=disc, label=label)
+    return HyperellipticCurve(f_coeffs=tuple(c), genus=genus, disc=disc)
 
 
 def _check_reduction(curve: HyperellipticCurve, p: int) -> None:
+    # for odd p not dividing lc(f), f mod p is squarefree iff p does not
+    # divide disc(f)
     if p == 2:
         raise BadReductionError(p, "p=2 not supported (y^2 = f degenerates)")
     if not is_prime(p):
         raise BadReductionError(p, "not a prime")
     if curve.leading % p == 0:
         raise BadReductionError(p, "p divides the leading coefficient")
-    fbar = PolyModP.make(p, curve.f_coeffs)
-    g = poly_gcd(fbar, poly_derivative(fbar))
-    if g.degree > 0:
+    if curve.disc % p == 0:
         raise BadReductionError(p, "f is not squarefree mod p")
 
 
-def _assert_weil(count: int, q: int, genus: int, p: int, ext: int) -> None:
-    # (N - q - 1)^2 <= 4 g^2 q, exact in integers
-    if (count - q - 1) ** 2 > 4 * genus * genus * q:
+def _assert_weil(count: int, p: int, ext: int, genus: int) -> None:
+    lo, hi = hasse_interval(p, ext, genus)
+    if not lo <= count <= hi:
         raise WeilBoundError(
             f"count {count} violates the Weil bound at p={p}, ext={ext}"
         )
@@ -167,17 +164,22 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
 
     ext is 1 or 2.  Affine points are counted by the quadratic character
     sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly one point.
-    Raises BadReductionError for unusable primes and WeilBoundError if the
-    result falls outside the Hasse-Weil interval (which would be a bug).
+    Raises BadReductionError for unusable primes, ValueError for ext = 2 at
+    p >= EXT2_MAX_P, and WeilBoundError if the result falls outside the
+    Hasse-Weil interval (which would be a bug).
     """
     _check_reduction(curve, p)
     if ext == 1:
         n = _count_ext1(curve, p)
     elif ext == 2:
+        if p >= EXT2_MAX_P:
+            raise ValueError(
+                f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
+            )
         n = _count_ext2(curve, p)
     else:
         raise ValueError(f"ext must be 1 or 2, got {ext}")
-    _assert_weil(n, p**ext, curve.genus, p, ext)
+    _assert_weil(n, p, ext, curve.genus)
     return n
 
 
@@ -202,16 +204,16 @@ def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
     return affine + inf
 
 
-def _count_ext2(curve: HyperellipticCurve, p: int, chunk: int = 128) -> int:
+def _count_ext2(curve: HyperellipticCurve, p: int) -> int:
     """Count over F_{p^2} = F_p[t]/(t^2 - d).
 
     Evaluates f by Horner directly in the extension and tests squareness via
     chi_p(Norm).  Conjugate elements a + bt and a - bt give equal character
     values, so only b in 0..(p-1)/2 is evaluated and the b > 0 half doubled.
     """
-    fp2 = fp2_context(p)
-    d = fp2.d
-    chi_np = np.array(fp2.chi.values, dtype=np.int64)
+    chi = character_table(p)
+    d = chi.nonresidue
+    chi_np = np.array(chi.values, dtype=np.int64)
     coeffs = [a % p for a in curve.f_coeffs]
 
     # b = 0 row: x in F_p, f(x) in F_p, chi2 = 1 unless f(x) = 0
@@ -219,13 +221,13 @@ def _count_ext2(curve: HyperellipticCurve, p: int, chunk: int = 128) -> int:
     char_sum = p - zeros_in_fp
 
     a_row = np.arange(p, dtype=np.int64)[None, :]
-    for b0 in range(1, (p - 1) // 2 + 1, chunk):
-        b = np.arange(b0, min(b0 + chunk, (p - 1) // 2 + 1), dtype=np.int64)[:, None]
+    for b0 in range(1, (p - 1) // 2 + 1, _EXT2_CHUNK):
+        b = np.arange(b0, min(b0 + _EXT2_CHUNK, (p - 1) // 2 + 1), dtype=np.int64)[:, None]
         bd = b * d % p
         u = np.zeros((len(b), p), dtype=np.int64)
         v = np.zeros((len(b), p), dtype=np.int64)
-        # lazy reduction: values stay below ~4p^3 over two unreduced steps,
-        # safely inside int64 for the prime sizes used here (p < 10^6)
+        # lazy reduction: values stay below ~3.5p^3 over two unreduced
+        # steps, inside int64 for p < EXT2_MAX_P
         for i, a in enumerate(reversed(coeffs)):
             u, v = u * a_row + v * bd + a, u * b + v * a_row
             if i & 1:

@@ -40,12 +40,10 @@ __all__ = [
     "AxiomReport",
     "catalog",
     "get_entry",
-    "coeff_character",
     "exact_moment",
     "moment_orders",
     "closed_form_moment",
     "sample_classes",
-    "trace_stats",
     "st_axiom_check",
 ]
 
@@ -160,17 +158,6 @@ class STGroupEntry:
             ("a1", Fraction(a), Fraction(k, self.n_components))
             for a, k in Counter(self.coset_a1).items()
         )
-
-    @property
-    def components(self) -> list[tuple[str, int]]:
-        """(label, multiplicity) pairs, aggregated in table order."""
-        out: list[tuple[str, int]] = []
-        for row in self.component_rows:
-            if out and out[-1][0] == row.label:
-                out[-1] = (row.label, out[-1][1] + 1)
-            else:
-                out.append((row.label, 1))
-        return out
 
     def point_mass(self, statistic: str, value) -> Fraction:
         v = Fraction(value)
@@ -289,14 +276,6 @@ def _elementary(pattern, nvars: int, k: int) -> LaurentPoly:
         exps = tuple(sum(col) for col in zip(*subset)) if subset else (0,) * nvars
         total = total + LaurentPoly.monomial(exps)
     return total
-
-
-def coeff_character(group_id: str, k: int) -> LaurentPoly:
-    """k-th elementary symmetric function of the eigenvalue pattern."""
-    entry = get_entry(group_id)
-    if not 0 <= k <= len(entry.eigenvalue_pattern):
-        raise ValueError(f"k must be 0..{len(entry.eigenvalue_pattern)}")
-    return _elementary(entry.eigenvalue_pattern, entry.torus_rank, k)
 
 
 def moment_orders(genus: int, dmax: int) -> list[tuple[int, int]]:
@@ -430,14 +409,6 @@ def sample_classes(group_id: str, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def trace_stats(genus: int, angles: np.ndarray):
-    """(a1, a2) arrays from eigenangle rows; a2 is None for genus 1."""
-    if genus == 1:
-        return 2.0 * np.cos(angles[:, 0]), None
-    c1, c2 = np.cos(angles[:, 0]), np.cos(angles[:, 1])
-    return 2.0 * (c1 + c2), 2.0 + 4.0 * c1 * c2
-
-
 # ---------------------------------------------------------------------------
 # axiom checks
 
@@ -495,4 +466,3 @@ def st_axiom_check(entry: STGroupEntry, max_weight: int = 12) -> AxiomReport:
         failures=tuple(failures),
         unverified=("ST2: non-factoring of the one-parameter subgroup",),
     )
-

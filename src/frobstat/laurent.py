@@ -132,20 +132,3 @@ class LaurentPoly:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-    def eval_angles(self, *thetas) -> float:
-        """Evaluate at z_i = exp(i*theta_i); real for conjugation-symmetric
-        polynomials (the imaginary part is discarded).
-
-        Accepts scalars or numpy arrays, one per variable.
-        """
-        import numpy as np
-
-        total = None
-        for e, c in self._terms.items():
-            phase = sum(ei * th for ei, th in zip(e, thetas))
-            term = float(c) * np.cos(phase)
-            total = term if total is None else total + term
-        if total is None:
-            return 0.0 * sum(thetas)
-        return total

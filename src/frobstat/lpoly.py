@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 
@@ -34,11 +33,6 @@ class LPoly:
         if self.genus == 1:
             return [1, self.c1, self.p]
         return [1, self.c1, self.c2, self.p * self.c1, self.p * self.p]
-
-    @property
-    def trace(self) -> int:
-        """Frobenius trace a_p = -c1 (sum of the inverse roots)."""
-        return -self.c1
 
 
 @dataclass(frozen=True)
@@ -84,26 +78,6 @@ def weil_check(lp: LPoly) -> bool:
     return c1 * c1 <= 16 * p  # |a1| <= 4
 
 
-def weil_check_normalized(a1: Fraction, a2: Optional[Fraction] = None) -> bool:
-    """Same feasibility test on exact rational normalized coefficients.
-
-    Genus 1 when a2 is None (|a1| <= 2); genus 2 otherwise via the h(t)
-    conditions.  Useful for boundary points like (a1, a2) = (4, 6) that no
-    integer (c1, c2) hits at a prime p.
-    """
-    a1 = Fraction(a1)
-    if a2 is None:
-        return abs(a1) <= 2
-    a2 = Fraction(a2)
-    if a1 * a1 - 4 * (a2 - 2) < 0:
-        return False
-    if 2 + 2 * a1 + a2 < 0:  # h(2)
-        return False
-    if 2 - 2 * a1 + a2 < 0:  # h(-2)
-        return False
-    return abs(a1) <= 4
-
-
 def lpoly_from_counts(
     genus: int, p: int, n1: int, n2: Optional[int] = None
 ) -> LPoly:
@@ -147,13 +121,9 @@ def predicted_count(lp: LPoly, n: int) -> int:
     """
     if not 1 <= n <= 4:
         raise ValueError("n must be in 1..4")
-    # elementary symmetric functions of the inverse roots, e[k]
-    if lp.genus == 1:
-        e = [1, -lp.c1, lp.p, 0, 0]
-        deg = 2
-    else:
-        e = [1, -lp.c1, lp.c2, -lp.p * lp.c1, lp.p * lp.p]
-        deg = 4
+    # elementary symmetric functions of the inverse roots: e_k = (-1)^k c_k
+    e = [(-1) ** k * c for k, c in enumerate(lp.coefficients())]
+    deg = len(e) - 1
     s = [0] * (n + 1)
     for k in range(1, n + 1):
         acc = 0

@@ -9,13 +9,12 @@ by p before anything is written.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 from .counting import HyperellipticCurve, count_points, good_primes, make_curve
-from .lpoly import lpoly_from_counts
+from .lpoly import lpoly_from_counts, normalize
 from .stats import ScanRecord
 
 
@@ -23,35 +22,24 @@ from .stats import ScanRecord
 class ScanConfig:
     f_coeffs: tuple[int, ...]
     n: int
-    label: str = ""
     threads: int = 1
     out: Optional[str] = None
 
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     n1 = count_points(curve, p, 1)
-    if curve.genus == 1:
-        lp = lpoly_from_counts(1, p, n1)
-        return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=lp.c1 / math.sqrt(p))
-    n2 = count_points(curve, p, 2)
-    lp = lpoly_from_counts(2, p, n1, n2)
-    return ScanRecord(
-        p=p,
-        n1=n1,
-        c1=lp.c1,
-        a1bar=lp.c1 / math.sqrt(p),
-        n2=n2,
-        c2=lp.c2,
-        a2bar=lp.c2 / p,
-    )
+    n2 = count_points(curve, p, 2) if curve.genus == 2 else None
+    lp = lpoly_from_counts(curve.genus, p, n1, n2)
+    nc = normalize(lp)
+    return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 
 
 _WORK_CURVE: Optional[HyperellipticCurve] = None
 
 
-def _init_worker(f_coeffs: tuple[int, ...], label: str) -> None:
+def _init_worker(f_coeffs: tuple[int, ...]) -> None:
     global _WORK_CURVE
-    _WORK_CURVE = make_curve(f_coeffs, label)
+    _WORK_CURVE = make_curve(f_coeffs)
 
 
 def _worker_record(p: int) -> ScanRecord:
@@ -70,7 +58,7 @@ def scan_curve(
     with ProcessPoolExecutor(
         max_workers=threads,
         initializer=_init_worker,
-        initargs=(curve.f_coeffs, curve.label),
+        initargs=(curve.f_coeffs,),
     ) as pool:
         records = list(pool.map(_worker_record, primes, chunksize=chunk))
     records.sort(key=lambda r: r.p)
@@ -97,7 +85,7 @@ def run_scan(config: ScanConfig):
 
     Returns (curve, records).
     """
-    curve = make_curve(config.f_coeffs, config.label)
+    curve = make_curve(config.f_coeffs)
     records = scan_curve(curve, config.n, config.threads)
     if config.out is not None:
         with open(config.out, "w") as fh:

@@ -5,9 +5,8 @@ the normalized real coefficients.  Point-mass detection works on the exact
 integers: a1bar = 0 iff c1 = 0, and a2bar = v iff c2 = v*p, so no floating
 comparison is ever involved in a density.
 
-Accumulation is a fold over records sorted by prime; any partition of the
-records merges to byte-identical tables because the reduction order is
-fixed by p.
+Moments are a fold over records sorted by prime, so any ordering of the
+same records gives byte-identical tables.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .haar import STGroupEntry, catalog, exact_moment, moment_orders
+from .haar import catalog, exact_moment, moment_orders
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,9 @@ class ScanRecord:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScanRecord":
         """Build a record from one parsed JSONL line; ValueError when the
-        line is not an object, a field has the wrong type, or the genus-2
-        fields n2, c2, a2bar are not all present or all absent."""
+        line is not an object, a field has the wrong type, a real is NaN or
+        infinite, or the genus-2 fields n2, c2, a2bar are not all present or
+        all absent."""
         try:
             p, n1, c1, a1bar = d["p"], d["n1"], d["c1"], d["a1bar"]
             n2, c2, a2bar = d.get("n2"), d.get("c2"), d.get("a2bar")
@@ -66,6 +66,12 @@ class ScanRecord:
             )
         ):
             raise ValueError(f"scan record field missing or mistyped: {d!r}")
+        try:  # an int too large for a float overflows here
+            finite = math.isfinite(a1bar) and (genus1 or math.isfinite(a2bar))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"scan record has a non-finite real: {d!r}")
         return cls(p=p, n1=n1, c1=c1, a1bar=a1bar, n2=n2, c2=c2, a2bar=a2bar)
 
 
@@ -80,17 +86,13 @@ class MomentStat:
 class MomentTable:
     genus: int
     entries: dict[tuple[int, int], MomentStat] = field(default_factory=dict)
-    # prefix series: (d1, d2) -> ((cutoff, value), ...) at power-of-two cutoffs
-    prefix: dict[tuple[int, int], tuple[tuple[int, float], ...]] = field(
-        default_factory=dict
-    )
 
 
 def empirical_moments(records: Sequence[ScanRecord], dmax: int = 8) -> MomentTable:
-    """Averages of a1bar^d1 * a2bar^d2 over the records.
+    """Averages of a1bar^d1 * a2bar^d2 over the records, with standard
+    errors, for every order of weight d1 + 2*d2 <= dmax.
 
-    Records are folded in ascending-p order; prefix values are recorded at
-    cutoffs 2^10, 2^11, ... up to the largest prime present.
+    Records are folded in ascending-p order.
     """
     recs = sorted(records, key=lambda r: r.p)
     if not recs:
@@ -99,35 +101,16 @@ def empirical_moments(records: Sequence[ScanRecord], dmax: int = 8) -> MomentTab
     if any(r.genus != genus for r in recs):
         raise ValueError("mixed-genus records")
     orders = moment_orders(genus, dmax)
-    cutoffs = []
-    top = recs[-1].p
-    c = 1024
-    while c <= top:
-        cutoffs.append(c)
-        c *= 2
-
     sums = {o: 0.0 for o in orders}
     sqsums = {o: 0.0 for o in orders}
-    prefix: dict[tuple[int, int], list[tuple[int, float]]] = {o: [] for o in orders}
-    next_cut = 0
-    n = 0
+    n = len(recs)
     for r in recs:
-        while next_cut < len(cutoffs) and r.p > cutoffs[next_cut]:
-            for o in orders:
-                if n:
-                    prefix[o].append((cutoffs[next_cut], sums[o] / n))
-            next_cut += 1
-        n += 1
         for d1, d2 in orders:
             term = r.a1bar**d1 if d1 else 1.0
             if d2:
                 term *= r.a2bar**d2
             sums[(d1, d2)] += term
             sqsums[(d1, d2)] += term * term
-    while next_cut < len(cutoffs):
-        for o in orders:
-            prefix[o].append((cutoffs[next_cut], sums[o] / n))
-        next_cut += 1
 
     table = MomentTable(genus=genus)
     for o in orders:
@@ -138,7 +121,6 @@ def empirical_moments(records: Sequence[ScanRecord], dmax: int = 8) -> MomentTab
         else:
             se = 0.0
         table.entries[o] = MomentStat(value=mean, stderr=se, n=n)
-        table.prefix[o] = tuple(prefix[o])
     return table
 
 
@@ -252,21 +234,19 @@ def tracked_densities(genus: int) -> list[tuple[str, Fraction]]:
 def classify(
     table: MomentTable,
     densities: Optional[dict[tuple[str, Fraction], DensityStat]] = None,
-    entries: Optional[Sequence[STGroupEntry]] = None,
 ) -> list[tuple[str, float]]:
-    """Rank candidate groups by squared standardized distance.
+    """Rank the catalog groups of the table's genus by squared standardized
+    distance.
 
     score(G) = sum over tracked moments of ((emp - exact) / max(se, floor))^2
     plus the same for tracked point masses.  Ascending score; ties broken
     lexicographically by group id, so the output is fully deterministic.
     """
-    if entries is None:
-        entries = [e for e in catalog() if e.genus == table.genus]
     densities = densities or {}
     results = []
-    for entry in entries:
+    for entry in catalog():
         if entry.genus != table.genus:
-            raise ValueError(f"{entry.id} has genus {entry.genus}, table {table.genus}")
+            continue
         score = 0.0
         for order in tracked_orders(table.genus):
             stat = table.entries.get(order)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobstat.arith import sieve_primes
+from frobstat import counting
+from frobstat.arith import PolyModP, poly_derivative, poly_gcd, sieve_primes
 from frobstat.counting import (
+    EXT2_MAX_P,
     BadReductionError,
     count_points,
     good_primes,
@@ -141,6 +143,46 @@ def test_bad_reduction_rejected_with_reason():
         count_points(curve6, 7)  # 7 divides the discriminant
     with pytest.raises(ValueError):
         count_points(curve, 9)  # not prime at all
+
+
+@given(coeffs=st.lists(st.integers(-9, 9), min_size=4, max_size=7),
+       p=st.sampled_from(sieve_primes(60)[1:]))
+@settings(max_examples=300, deadline=None)
+def test_reduction_check_agrees_with_squarefree_gcd(coeffs, p):
+    # for odd p not dividing lc(f), p | disc(f) exactly when f mod p and its
+    # derivative share a factor, so the discriminant test is the gcd test
+    try:
+        curve = make_curve(coeffs)
+    except ValueError:
+        return
+    if curve.leading % p == 0:
+        return
+    fbar = PolyModP.make(p, curve.f_coeffs)
+    squareful = poly_gcd(fbar, poly_derivative(fbar)).degree > 0
+    assert (curve.disc % p == 0) == squareful
+    try:
+        count_points(curve, p)
+        assert not squareful
+    except BadReductionError as e:
+        assert squareful and e.reason == "f is not squarefree mod p"
+
+
+def test_ext2_count_refuses_primes_past_the_int64_bound(monkeypatch):
+    # the lazy reduction of the F_{p^2} count is exact in int64 only for
+    # p < 10^6; past that count_points refuses before counting anything
+    assert EXT2_MAX_P == 10**6
+    curve = make_curve([1, -1, 0, 0, 0, 1])
+
+    def must_not_run(curve, p):
+        raise AssertionError("the O(p^2) count ran")
+
+    monkeypatch.setattr(counting, "_count_ext2", must_not_run)
+    with pytest.raises(ValueError, match="p < 1000000") as info:
+        count_points(curve, 1000003, ext=2)
+    assert not isinstance(info.value, BadReductionError)
+    # the largest prime below the bound still reaches the count
+    monkeypatch.setattr(counting, "_count_ext2", lambda curve, p: p * p + 1)
+    assert count_points(curve, 999983, ext=2) == 999983**2 + 1
 
 
 def test_good_primes_matches_direct_filter():

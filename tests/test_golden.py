@@ -1,9 +1,11 @@
-"""Byte-level guards on the exact catalog and the samplers.
+"""Byte-level guards on the scan output, the exact catalog and the samplers.
 
-The digests were recorded from the catalog before its groups were declared
-as data (laws and coset classes), and must not move: the catalog CSV, the
-component-group metadata CSV, and the eigenangle arrays of every group at
-two seeds.
+The catalog and sampler digests were recorded before the groups were
+declared as data (laws and coset classes), and the scan digests before the
+reduction check moved from a gcd mod p onto the discriminant.  None of them
+may move: the scan JSONL of a generic and a CM genus-1 curve and of a
+genus-2 curve, the catalog CSV, the component-group metadata CSV, and the
+eigenangle arrays of every group at two seeds.
 """
 
 import contextlib
@@ -16,6 +18,12 @@ import pytest
 from frobstat import cli
 from frobstat.haar import get_entry, sample_classes
 
+# stdout of `frobstat scan` with these arguments
+SCAN_SHA256 = {
+    "--f=1,1,0,1 --N 2000": "932e8ca886f6ce5a487e4eec37eafaa3fb2b55587e011152357e07d13c1ebe5a",
+    "--f=1,0,0,1 --N 2000": "6a071f30127f1aa307db1cc8b21374a8419c265bab461daf2486494a873f65dc",
+    "--f=1,-1,0,0,0,1 --N 300": "ab2a4c4cdac64660a907fe978c2ce931af146085a74144f121179c3877e9b958",
+}
 CATALOG_SHA256 = "da077a2a45e93a4178bfea51cb30d43396774cfed9e2b3377589c645e59a7e4c"
 METADATA_SHA256 = "2c9ee3a7442c9cdde993861d607a5312d85f74628db4e6f8462e93dd56314846"
 
@@ -47,6 +55,11 @@ def _cli_sha256(argv):
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(SCAN_SHA256))
+def test_scan_jsonl_bytes_frozen(args):
+    assert _cli_sha256(["scan", *args.split()]) == SCAN_SHA256[args]
 
 
 def test_catalog_csv_bytes_frozen():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from frobstat.laurent import LaurentPoly
 
+from oracles import eval_angles
+
 
 def _poly(nvars, entries):
     acc = LaurentPoly.zero(nvars)
@@ -88,11 +90,11 @@ def _trapezoid_ct(poly, m=128):
     polynomials of bandwidth below m."""
     if poly.nvars == 1:
         th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-        vals = poly.eval_angles(th)
+        vals = eval_angles(poly, th)
         return float(np.mean(vals))
     th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
     t1, t2 = np.meshgrid(th, th, indexing="ij")
-    return float(np.mean(poly.eval_angles(t1, t2)))
+    return float(np.mean(eval_angles(poly, t1, t2)))
 
 
 @given(a=poly1)
@@ -120,18 +122,18 @@ def _symmetrize(a):
 def test_symmetric_products_evaluate_multiplicatively(a, b):
     sa, sb = _symmetrize(a), _symmetrize(b)
     th = np.linspace(0.3, 5.9, 7)
-    va = sa.eval_angles(th)
-    vb = sb.eval_angles(th)
-    vab = (sa * sb).eval_angles(th)
+    va = eval_angles(sa, th)
+    vb = eval_angles(sb, th)
+    vab = eval_angles(sa * sb, th)
     assert np.allclose(vab, va * vb, atol=1e-9)
 
 
 def test_eval_angles_cosine_convention():
     z = LaurentPoly.monomial((1,), Fraction(1))
     th = np.array([0.0, math.pi / 3, math.pi])
-    assert np.allclose(z.eval_angles(th), np.cos(th))
+    assert np.allclose(eval_angles(z, th), np.cos(th))
     two_cos = z + LaurentPoly.monomial((-1,), Fraction(1))
-    assert np.allclose(two_cos.eval_angles(th), 2 * np.cos(th))
+    assert np.allclose(eval_angles(two_cos, th), 2 * np.cos(th))
 
 
 def test_terms_mapping_is_fraction_valued():

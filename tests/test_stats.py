@@ -76,33 +76,6 @@ def test_empty_and_mixed_genus_rejected():
         empirical_moments([_rec1(5, 1), _rec2(7, 1, 2)])
 
 
-def test_prefix_cutoffs_power_of_two():
-    primes = [p for p in range(3, 5000) if all(p % q for q in range(2, int(p**0.5) + 1))]
-    records = [_rec1(p, 0) for p in primes]
-    table = empirical_moments(records, dmax=2)
-    cuts = [c for c, _ in table.prefix[(2, 0)]]
-    assert cuts == [1024, 2048, 4096]
-    # prefix value at 1024 only sees records with p <= 1024
-    below = [r for r in records if r.p <= 1024]
-    want = sum(r.a1bar**2 for r in below) / len(below)
-    got = dict(table.prefix[(2, 0)])[1024]
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_prefix_last_cutoff_below_top_prime():
-    records = [_rec1(p, 1) for p in (1021, 2039, 4093)]
-    table = empirical_moments(records, dmax=2)
-    cuts = dict(table.prefix[(2, 0)])
-    assert sorted(cuts) == [1024, 2048]
-    # the 2048 cutoff sees exactly the records with p <= 2048
-    want = (records[0].a1bar**2 + records[1].a1bar**2) / 2
-    assert cuts[2048] == pytest.approx(want, rel=1e-12)
-    # a scan reaching past 4096 gains the next cutoff
-    more = records + [_rec1(4099, 1)]
-    table2 = empirical_moments(more, dmax=2)
-    assert sorted(dict(table2.prefix[(2, 0)])) == [1024, 2048, 4096]
-
-
 def test_density_counts_exact_integers():
     recs = [_rec1(5, 0), _rec1(7, 3), _rec1(11, 0), _rec1(13, -4)]
     d = empirical_density(recs, "a1", 0)
@@ -174,12 +147,6 @@ def test_classifier_deterministic_tie_break():
     # no tracked orders populated: all scores identical, order is by id
     ranked = classify(table, {})
     assert [g for g, _ in ranked] == sorted(g for g, _ in ranked)
-
-
-def test_classifier_rejects_wrong_genus_entry():
-    table = _theoretical_table("SU(2)", 1)
-    with pytest.raises(ValueError):
-        classify(table, {}, entries=[e for e in catalog() if e.genus == 2])
 
 
 def test_records_density_map_covers_tracked_values():
