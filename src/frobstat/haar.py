@@ -4,11 +4,13 @@ Each group is declared once, as data: `laws` names the Haar law of each
 torus factor of the identity component ("u1", "su2", or the rank-2 "usp4")
 acting on an eigenvalue pattern of Laurent monomials, and `coset_a1` gives
 the a1 value of the single class forming each other component; Haar
-measure weighs all components equally.  The Weyl density (an exact Laurent
-polynomial with constant term 1), the component count, the point masses and
-the sampler all follow.  The Haar expectation of a1^d1 * a2^d2 averages,
-over components, the constant term of character^powers * density on the
-torus and a1^d1 on each coset, in exact rational arithmetic.
+measure weighs all components equally.  Each law is a table of roots, and
+Weyl's formula makes the density the product of (1 - z^alpha) over them,
+divided by its constant term (the Weyl group order).  The Haar expectation
+of a1^d1 * a2^d2 averages, over components, a1^d1 on each coset and, on
+the torus, the constant term of e1^d1 * e2^d2 * density, exactly: the
+integer integrand pairs each density term c*z^e with its own coefficient
+at z^-e, so the product is never formed.
 
 Conventions: a1 and a2 are the first and second elementary symmetric
 functions of the normalized Frobenius eigenvalues.  Every implemented group
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, pi
 from typing import Optional
@@ -63,54 +65,29 @@ class ComponentRow:
     q_realizable: bool
 
 
-def _u1_density(nvars: int, var: int) -> LaurentPoly:
-    """Haar measure on U(1) is uniform: density 1."""
-    return LaurentPoly.constant(nvars, 1)
-
-
-def _su2_density(nvars: int, var: int) -> LaurentPoly:
-    """Weyl density of SU(2) in variable `var`: 1 - z^2/2 - z^-2/2."""
-    up = [0] * nvars
-    dn = [0] * nvars
-    up[var], dn[var] = 2, -2
-    return (
-        LaurentPoly.constant(nvars, 1)
-        - LaurentPoly.monomial(up, Fraction(1, 2))
-        - LaurentPoly.monomial(dn, Fraction(1, 2))
-    )
-
-
-def _usp4_density(nvars: int, var: int) -> LaurentPoly:
-    """Weyl density of USp(4) on variables var, var+1: (1/8) prod (1 - z^alpha).
-
-    Root system C2: alpha in {(+-2,0), (0,+-2), (+-1,+-1)}.  The constant
-    term must come out to exactly 1 (the Weyl group has order 8); this is
-    asserted here and cross-checked against a matrix Monte Carlo oracle in
-    the test suite.
-    """
-    roots = [(2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-    prod = LaurentPoly.constant(nvars, 1)
-    for alpha in roots:
-        exps = [0] * nvars
-        exps[var : var + 2] = alpha
-        prod = prod * (LaurentPoly.constant(nvars, 1) - LaurentPoly.monomial(exps))
-    dens = prod * Fraction(1, 8)
-    assert dens.constant_term() == 1, "USp(4) Weyl density misnormalized"
-    return dens
-
-
-# per torus law: (number of torus variables, function making its Weyl density)
-_LAWS = {"u1": (1, _u1_density), "su2": (1, _su2_density), "usp4": (2, _usp4_density)}
+# per torus law: (number of torus variables, roots of its Weyl density);
+# usp4 carries the root system C2
+_LAWS = {
+    "u1": (1, ()),
+    "su2": (1, ((2,), (-2,))),
+    "usp4": (2, ((2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, -1), (1, -1), (-1, 1))),
+}
 
 
 def _weyl_density(laws: tuple[str, ...], nvars: int) -> LaurentPoly:
-    """Product of the laws' densities, each on its own torus variables."""
-    factors, var = [], 0
+    """Weyl's integration formula: the product of (1 - z^alpha) over the
+    roots alpha of every law, each on its own torus variables, divided by
+    its constant term (the order of the Weyl group: 1, 2 or 8 per law)."""
+    one = LaurentPoly.constant(nvars, 1)
+    prod, var = one, 0
     for law in laws:
-        width, build = _LAWS[law]
-        factors.append(build(nvars, var))
+        width, roots = _LAWS[law]
+        for alpha in roots:
+            exps = [0] * nvars
+            exps[var : var + width] = alpha
+            prod = prod * (one - LaurentPoly.monomial(exps))
         var += width
-    return reduce(LaurentPoly.__mul__, factors)
+    return prod * LaurentPoly.constant(nvars, Fraction(1, prod.constant_term()))
 
 
 @dataclass(frozen=True)
@@ -299,9 +276,12 @@ def _entry_moment(entry: STGroupEntry, d1: int, d2: int) -> Fraction:
     integrand = _elementary(entry.eigenvalue_pattern, rank, 1) ** d1
     if d2:
         integrand = integrand * _elementary(entry.eigenvalue_pattern, rank, 2) ** d2
-    torus = (integrand * entry.weyl_density).constant_term()
-    cosets = sum(Fraction(a) ** d1 for a in entry.coset_a1)
-    return (torus + cosets) / entry.n_components
+    # CT(integrand * density) pairs each density term c*z^e with z^-e
+    coeffs = integrand.terms
+    torus = sum(c * coeffs.get(tuple(-x for x in e), 0)
+                for e, c in entry.weyl_density.terms.items())
+    cosets = sum(a**d1 for a in entry.coset_a1)
+    return Fraction(torus + cosets, entry.n_components)
 
 
 @lru_cache(maxsize=4096)
@@ -341,41 +321,38 @@ def _draw_u1(rng: np.random.Generator, n: int) -> np.ndarray:
     return _fold(rng.uniform(0.0, _TWO_PI, n))
 
 
-def _draw_su2(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Density (2/pi) sin^2(theta) on [0, pi]; envelope accept prob sin^2."""
-    out = np.empty(n)
+def _reject(rng: np.random.Generator, n: int, dim: int, per_row: int,
+            density, sup: float) -> np.ndarray:
+    """n rows of dim angles drawn from density on [0, pi]^dim by rejection
+    against the uniform envelope sup, proposing per_row points per missing
+    row (at least 64 * dim) in each round."""
+    out = np.empty((n, dim))
     have = 0
     while have < n:
-        m = max(2 * (n - have), 64)
-        theta = rng.uniform(0.0, pi, m)
+        m = max(per_row * (n - have), 64 * dim)
+        t = [rng.uniform(0.0, pi, m) for _ in range(dim)]
         u = rng.uniform(0.0, 1.0, m)
-        acc = theta[u < np.sin(theta) ** 2]
+        keep = density(*t) > u * sup
+        acc = np.column_stack([x[keep] for x in t])
         take = min(len(acc), n - have)
         out[have : have + take] = acc[:take]
         have += take
     return out
 
 
-_USP4_SUP = 16.0 / 27.0  # max of sin^2 t1 sin^2 t2 (cos t1 - cos t2)^2
+def _draw_su2(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Density (2/pi) sin^2(theta) on [0, pi]; envelope accept prob sin^2."""
+    return _reject(rng, n, 1, 2, lambda t: np.sin(t) ** 2, 1.0)
 
 
 def _draw_usp4(rng: np.random.Generator, n: int) -> np.ndarray:
     """Joint density (8/pi^2) sin^2 t1 sin^2 t2 (cos t1 - cos t2)^2 on
     [0, pi]^2; uniform proposals, exact sup 16/27 as the envelope."""
-    out = np.empty((n, 2))
-    have = 0
-    while have < n:
-        m = max(6 * (n - have), 128)
-        t1 = rng.uniform(0.0, pi, m)
-        t2 = rng.uniform(0.0, pi, m)
-        u = rng.uniform(0.0, 1.0, m)
-        f = (np.sin(t1) * np.sin(t2) * (np.cos(t1) - np.cos(t2))) ** 2
-        keep = u * _USP4_SUP < f
-        acc1, acc2 = t1[keep], t2[keep]
-        take = min(len(acc1), n - have)
-        out[have : have + take, 0] = acc1[:take]
-        out[have : have + take, 1] = acc2[:take]
-        have += take
+    out = _reject(
+        rng, n, 2, 6,
+        lambda t1, t2: (np.sin(t1) * np.sin(t2) * (np.cos(t1) - np.cos(t2))) ** 2,
+        16.0 / 27.0,
+    )
     out.sort(axis=1)  # canonical order inside each conjugacy class
     return out
 

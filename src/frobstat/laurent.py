@@ -1,10 +1,12 @@
-"""Sparse Laurent polynomials with exact rational coefficients.
+"""Sparse Laurent polynomials with exact coefficients.
 
 Supports 1 or 2 variables, which is all the rank-<=2 torus integration in
 this package needs.  Terms are a dict from exponent tuples (possibly
-negative entries) to Fraction; zero coefficients are never stored.  Haar
-expectation of a class function on a torus is just the constant term, so
-the only operations required are ring arithmetic and constant_term().
+negative entries) to coefficients stored as given: integers stay int, so
+products of integer polynomials run in int arithmetic, and a Fraction
+appears only where one was passed in.  Zero coefficients are never stored.
+Haar expectation of a class function on a torus is just the constant term,
+so the only operations required are ring arithmetic and constant_term().
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ class LaurentPoly:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar] = ()):
         if nvars not in (1, 2):
             raise ValueError("only 1 or 2 variables supported")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, c in dict(terms).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(int(e) for e in exps)] = c
+            if c:
+                clean[tuple(exps)] = c
         self.nvars = nvars
         self._terms = clean
 
@@ -49,54 +50,39 @@ class LaurentPoly:
 
     # -- inspection
     @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
         return dict(self._terms)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def constant_term(self) -> Scalar:
+        return self._terms.get((0,) * self.nvars, 0)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     # -- ring operations
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        return LaurentPoly.constant(self.nvars, other)
+    def _coerce(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
+        return other
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+        for e, c in self._coerce(other)._terms.items():
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        return self + LaurentPoly(self.nvars, {e: -c for e, c in other._terms.items()})
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        other = self._coerce(other)
+        out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -106,29 +92,12 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * acc
-            acc = acc * acc
             k >>= 1
+            if k:
+                acc = acc * acc
         return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
-            try:
-                other = self._coerce(other)
-            except (TypeError, ValueError):
-                return NotImplemented
+            return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LaurentPoly(0)"
-        names = "z" if self.nvars == 1 else ("z1", "z2")
-        bits = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            mono = "*".join(
-                f"{names[i]}^{ei}" if ei != 1 else names[i]
-                for i, ei in enumerate(e)
-                if ei != 0
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "LaurentPoly(" + " + ".join(bits) + ")"

@@ -9,6 +9,7 @@ by p before anything is written.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
@@ -50,13 +51,15 @@ def _worker_record(p: int) -> ScanRecord:
 def scan_curve(
     curve: HyperellipticCurve, n: int, threads: int = 1
 ) -> list[ScanRecord]:
-    """Records for every good prime <= n, ascending."""
+    """Records for every good prime <= n, ascending.  threads is capped at
+    the CPU count, because the pool forks all its workers at once."""
     primes = good_primes(curve, n)
-    if threads <= 1 or len(primes) < 4:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or len(primes) < 4:
         return [record_for_prime(curve, p) for p in primes]
-    chunk = max(1, len(primes) // (8 * threads))
+    chunk = max(1, len(primes) // (8 * workers))
     with ProcessPoolExecutor(
-        max_workers=threads,
+        max_workers=workers,
         initializer=_init_worker,
         initargs=(curve.f_coeffs,),
     ) as pool:
@@ -72,11 +75,17 @@ def write_records(records: Iterable[ScanRecord], stream: IO[str]) -> None:
 
 
 def read_records(stream: IO[str]) -> list[ScanRecord]:
-    records = []
+    """Records of a JSONL scan, in file order; ValueError on a bad line or a
+    prime that appears twice."""
+    records, seen = [], set()
     for line in stream:
         line = line.strip()
         if line:
-            records.append(ScanRecord.from_json_dict(json.loads(line)))
+            rec = ScanRecord.from_json_dict(json.loads(line))
+            if rec.p in seen:
+                raise ValueError(f"prime {rec.p} appears twice in the scan")
+            seen.add(rec.p)
+            records.append(rec)
     return records
 
 

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobstat.haar import (
     STGroupEntry,
+    _entry_moment,
     catalog,
     closed_form_moment,
     exact_moment,
@@ -35,7 +39,7 @@ def test_closed_form_reference_sequences():
 def test_genus1_even_moments_match_closed_forms():
     for d in range(1, 7):
         assert exact_moment("SU(2)", 2 * d) == closed_form_moment("catalan", d)
-    for d in range(1, 5):
+    for d in range(1, 7):
         assert exact_moment("U(1)", 2 * d) == closed_form_moment("central_binomial", d)
         assert exact_moment("N(U(1))", 2 * d) == \
             closed_form_moment("half_central_binomial", d)
@@ -59,7 +63,8 @@ def test_normalizer_mass_and_component_average():
 # with x = 2 cos(theta1) and y = 2 cos(theta2):
 #   a1 = x + y, a2 = 2 + x y     (split patterns)
 #   a1 = 2 x,   a2 = 2 + x^2     (doubled patterns)
-# so every moment reduces to 1-d Haar moments of U(1) or SU(2)
+# so every moment reduces to 1-d Haar moments of U(1) or SU(2); USp(4)
+# follows by Weyl's formula, E_USp(4)[f] = E_SU(2)xSU(2)[f (x - y)^2 / 2]
 
 def _u1_m(k):
     return Fraction(math.comb(k, k // 2)) if k % 2 == 0 else Fraction(0)
@@ -69,13 +74,21 @@ def _su2_m(k):
     return closed_form_moment("catalan", k // 2) if k % 2 == 0 else Fraction(0)
 
 
-def _product_moment(mx, my, j, k):
+def _product_moment(mx, my, j, k, sx=0, sy=0):
+    """E[x^sx y^sy a1^j a2^k] for independent x ~ mx and y ~ my."""
     total = Fraction(0)
     for i in range(j + 1):
         for l in range(k + 1):
             total += (math.comb(j, i) * math.comb(k, l) * 2 ** (k - l)
-                      * mx(i + l) * my(j - i + l))
+                      * mx(i + l + sx) * my(j - i + l + sy))
     return total
+
+
+def _usp4_moment(j, k):
+    # (x - y)^2 = x^2 - 2 x y + y^2
+    terms = ((1, 2, 0), (-2, 1, 1), (1, 0, 2))
+    return sum(c * _product_moment(_su2_m, _su2_m, j, k, sx, sy)
+               for c, sx, sy in terms) / 2
 
 
 def _doubled_moment(m, j, k):
@@ -91,14 +104,15 @@ REDUCTIONS = {
     "SU(2)xSU(2)": lambda j, k: _product_moment(_su2_m, _su2_m, j, k),
     "U(1)_2": lambda j, k: _doubled_moment(_u1_m, j, k),
     "SU(2)_2": lambda j, k: _doubled_moment(_su2_m, j, k),
+    "USp(4)": _usp4_moment,
 }
 
 
 @pytest.mark.parametrize("gid", sorted(REDUCTIONS))
 def test_genus2_moments_match_one_dimensional_reduction(gid):
     reduce = REDUCTIONS[gid]
-    for d1 in range(9):
-        for d2 in range((8 - d1) // 2 + 1):
+    for d1 in range(13):
+        for d2 in range((12 - d1) // 2 + 1):
             assert exact_moment(gid, d1, d2) == reduce(d1, d2), (gid, d1, d2)
 
 
@@ -317,6 +331,43 @@ def test_axioms_flag_nonintegral_moments():
 
 def _pair():
     return ((1,), (-1,))
+
+
+@st.composite
+def _synthetic_orders(draw):
+    """A synthetic entry with a random 1- or 2-variable pattern, a random
+    rational density and (genus 1) random coset classes, plus (d1, d2)."""
+    rank, genus = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    pattern = tuple(draw(st.lists(exps, min_size=2 * genus, max_size=2 * genus)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    density = LaurentPoly(rank, draw(st.dictionaries(
+        st.tuples(*[st.integers(-4, 4)] * rank), coeffs, max_size=6)))
+    coset_a1 = tuple(draw(st.lists(st.integers(-2, 2), max_size=3))) if genus == 1 else ()
+    entry = STGroupEntry("synthetic", genus, pattern, ("u1",) * rank,
+                         coset_a1=coset_a1, weyl_density=density)
+    d1 = draw(st.integers(0, 4))
+    d2 = draw(st.integers(0, 2)) if genus == 2 else 0
+    return entry, d1, d2
+
+
+@given(case=_synthetic_orders())
+@settings(max_examples=150, deadline=None)
+def test_entry_moment_pairs_density_with_integrand(case):
+    entry, d1, d2 = case
+    rank, pattern = entry.torus_rank, entry.eigenvalue_pattern
+    e1, e2 = LaurentPoly.zero(rank), LaurentPoly.zero(rank)
+    for m in pattern:
+        e1 = e1 + LaurentPoly.monomial(m)
+    for m, n in combinations(pattern, 2):
+        e2 = e2 + LaurentPoly.monomial(tuple(a + b for a, b in zip(m, n)))
+    integrand = e1**d1 * e2**d2
+    assert all(type(c) is int for c in integrand.terms.values())
+    torus = (integrand * entry.weyl_density).constant_term()
+    cosets = sum(Fraction(a) ** d1 for a in entry.coset_a1)
+    moment = _entry_moment(entry, d1, d2)
+    assert type(moment) is Fraction
+    assert moment == Fraction(torus + cosets) / entry.n_components
 
 
 # -- samplers ---------------------------------------------------------------

@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
-from frobstat import cli
+from frobstat import cli, scan
 from frobstat.counting import WeilBoundError, count_points, good_primes, make_curve
 from frobstat.lpoly import lpoly_from_counts
 from frobstat.scan import (
@@ -52,6 +53,38 @@ def test_scan_bytes_identical_across_threads():
     base = _dump(scan_curve(curve, 600, threads=1))
     for threads in (2, 3):
         assert _dump(scan_curve(curve, 600, threads=threads)) == base
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    initializer and the map in this process, and starts no process."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_scan_pool_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(scan, "_WORK_CURVE", scan._WORK_CURVE)
+    monkeypatch.setattr(_InProcessPool, "seen", [])
+    curve = make_curve(E1)
+    threaded = _dump(scan_curve(curve, 600, threads=10**6))
+    cpus = os.cpu_count() or 1
+    assert _InProcessPool.seen or cpus == 1
+    assert all(w <= cpus for w in _InProcessPool.seen)
+    assert threaded == _dump(scan_curve(curve, 600))
 
 
 def test_jsonl_roundtrip_and_key_order():
@@ -237,6 +270,9 @@ GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0
     json.dumps({**GOOD_G2, "a2bar": float("inf")}),
     pytest.param('{"p": 5, "n1": 6, "c1": 0, "a1bar": 1' + "0" * 400 + "}",
                  id="a1bar-int-beyond-float-range"),
+    pytest.param(json.dumps({"p": 5, "n1": 7, "c1": 0, "a1bar": 0.0}), id="n1-off-by-one"),
+    pytest.param(json.dumps({**GOOD_G2, "n2": 28}), id="n2-off-by-two"),
+    pytest.param(json.dumps(GOOD_G2) + "\n" + json.dumps(GOOD_G2), id="repeated-prime"),
 ])
 def test_cli_corrupt_scan_lines_exit_2(tmp_path, capsys, line):
     scan = tmp_path / "corrupt.jsonl"
