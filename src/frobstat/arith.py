@@ -1,8 +1,8 @@
 """Modular arithmetic helpers: primes, quadratic characters, polynomials mod p.
 
 Everything here is exact integer arithmetic.  The quadratic character table
-(with its smallest nonresidue d, which defines F_{p^2} = F_p[t]/(t^2 - d)
-for the counting module) and dense polynomials over F_p for the
+(an int64 array indexed by residue, so the counting modules index it with
+whole arrays of values) and dense polynomials over F_p for the
 factorization-shape scan are the only pieces of field theory the rest of
 the package needs.
 """
@@ -10,6 +10,8 @@ the package needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def sieve_primes(n: int) -> list[int]:
@@ -40,32 +42,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Legendre symbol table for an odd prime p.
-
-    values[a] is chi(a) in {-1, 0, +1} with chi(0) = 0; nonresidue is the
-    smallest quadratic nonresidue mod p, used as the defining constant d of
-    F_{p^2} = F_p[t]/(t^2 - d).
-    """
-
-    p: int
-    values: tuple[int, ...]
-    nonresidue: int
-
-    def __call__(self, a: int) -> int:
-        return self.values[a % self.p]
-
-
-def character_table(p: int) -> CharacterTable:
+def character_table(p: int) -> np.ndarray:
+    """Legendre symbols mod an odd prime p: chi[a] in {-1, 0, +1} for a in
+    0..p-1, as int64, with chi[0] = 0."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"character table needs an odd prime, got {p}")
-    values = [-1] * p
-    values[0] = 0
-    for a in range(1, p):
-        values[a * a % p] = 1
-    nonresidue = next(a for a in range(2, p) if values[a] == -1)
-    return CharacterTable(p=p, values=tuple(values), nonresidue=nonresidue)
+    a = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[a * a % p] = 1
+    chi[0] = 0
+    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ def ap_distribution(p: int) -> ApDistribution:
     if p < 5 or not is_prime(p):
         raise ValueError("need a prime p >= 5 (singular-locus count assumes it)")
     chi = character_table(p)
-    chi_np = np.array(chi.values, dtype=np.int64)
     x = np.arange(p, dtype=np.int64)
     b = np.arange(p, dtype=np.int64)
     x3 = x * x % p * x % p
@@ -48,7 +47,7 @@ def ap_distribution(p: int) -> ApDistribution:
     acc = np.zeros(2 * off + 1, dtype=np.int64)
     for a_coef in range(p):
         t = (x3 + a_coef * x) % p  # f(x) - B for this A
-        traces = -chi_np[(t[:, None] + b[None, :]) % p].sum(axis=0)
+        traces = -chi[(t[:, None] + b[None, :]) % p].sum(axis=0)
         disc_zero = (4 * a_coef**3 + 27 * b * b) % p == 0
         acc += np.bincount(traces[~disc_zero] + off, minlength=2 * off + 1)
     counts = {int(a - off): int(c) for a, c in enumerate(acc) if c}

@@ -166,7 +166,9 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly one point.
     Raises BadReductionError for unusable primes, ValueError for ext = 2 at
     p >= EXT2_MAX_P, and WeilBoundError if the result falls outside the
-    Hasse-Weil interval (which would be a bug).
+    Hasse-Weil interval (which would be a bug).  The F_p count and the
+    character table form values below p^2 in int64, so they are exact only
+    for p < 3.03e9; their 8p-byte arrays exhaust memory long before that.
     """
     _check_reduction(curve, p)
     if ext == 1:
@@ -194,13 +196,12 @@ def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
 
 def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
     chi = character_table(p)
-    chi_np = np.array(chi.values, dtype=np.int64)
     values = _values_mod_p([a % p for a in curve.f_coeffs], p)
-    affine = p + int(chi_np[values].sum())
+    affine = p + int(chi[values].sum())
     if curve.degree % 2 == 1:
         inf = 1
     else:
-        inf = 2 if chi(curve.leading) == 1 else 0
+        inf = 2 if chi[curve.leading % p] == 1 else 0
     return affine + inf
 
 
@@ -212,8 +213,8 @@ def _count_ext2(curve: HyperellipticCurve, p: int) -> int:
     values, so only b in 0..(p-1)/2 is evaluated and the b > 0 half doubled.
     """
     chi = character_table(p)
-    d = chi.nonresidue
-    chi_np = np.array(chi.values, dtype=np.int64)
+    # the smallest nonresidue d defines F_{p^2} = F_p[t]/(t^2 - d)
+    d = int(np.argmax(chi < 0))
     coeffs = [a % p for a in curve.f_coeffs]
 
     # b = 0 row: x in F_p, f(x) in F_p, chi2 = 1 unless f(x) = 0
@@ -236,7 +237,7 @@ def _count_ext2(curve: HyperellipticCurve, p: int) -> int:
         u %= p
         v %= p
         norm = (u * u - d * v * v) % p
-        char_sum += 2 * int(chi_np[norm].sum())
+        char_sum += 2 * int(chi[norm].sum())
 
     affine = p * p + char_sum
     # deg even: the leading coefficient is an F_p unit, hence a square in

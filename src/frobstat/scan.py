@@ -2,8 +2,10 @@
 one JSONL record per prime, ascending.
 
 Output is byte-identical for identical configs regardless of thread count:
-workers only parallelize the per-prime counting, and the merge is ordered
-by p before anything is written.
+workers only parallelize the per-prime counting.  Since a prime's cost
+grows like p^2, the pool is handed batches of the largest primes first,
+and the batches come back in hand-out order, so the merged list is simply
+reversed before anything is written.
 """
 
 from __future__ import annotations
@@ -35,17 +37,10 @@ def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 
 
-_WORK_CURVE: Optional[HyperellipticCurve] = None
-
-
-def _init_worker(f_coeffs: tuple[int, ...]) -> None:
-    global _WORK_CURVE
-    _WORK_CURVE = make_curve(f_coeffs)
-
-
-def _worker_record(p: int) -> ScanRecord:
-    assert _WORK_CURVE is not None
-    return record_for_prime(_WORK_CURVE, p)
+def _records(curve: HyperellipticCurve, primes: list[int]) -> list[ScanRecord]:
+    """Records for primes in the given order: the serial scan, and one
+    batch of the pool's."""
+    return [record_for_prime(curve, p) for p in primes]
 
 
 def scan_curve(
@@ -56,16 +51,13 @@ def scan_curve(
     primes = good_primes(curve, n)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or len(primes) < 4:
-        return [record_for_prime(curve, p) for p in primes]
-    chunk = max(1, len(primes) // (8 * workers))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(curve.f_coeffs,),
-    ) as pool:
-        records = list(pool.map(_worker_record, primes, chunksize=chunk))
-    records.sort(key=lambda r: r.p)
-    return records
+        return _records(curve, primes)
+    size = max(1, len(primes) // (8 * workers))
+    descending = primes[::-1]
+    batches = [descending[i : i + size] for i in range(0, len(primes), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = pool.map(_records, [curve] * len(batches), batches)
+        return [rec for batch in done for rec in batch][::-1]
 
 
 def write_records(records: Iterable[ScanRecord], stream: IO[str]) -> None:

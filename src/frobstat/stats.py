@@ -48,10 +48,10 @@ class ScanRecord:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScanRecord":
         """Build a record from one parsed JSONL line; ValueError when the
-        line is not an object, a field has the wrong type, a real is NaN or
-        infinite, the genus-2 fields n2, c2, a2bar are not all present or
-        all absent, or a count disagrees with the coefficients:
-        n1 = p + 1 + c1 and, in genus 2, n2 = p^2 + 1 - c1^2 + 2*c2."""
+        line is not an object, a field has the wrong type, the genus-2
+        fields n2, c2, a2bar are not all present or all absent, p < 3, a
+        real is not exactly the writer's c1/sqrt(p) or c2/p (JSON floats
+        round-trip), or a count disagrees: n1 = p+1+c1, n2 = p^2+1-c1^2+2*c2."""
         try:
             p, n1, c1, a1bar = d["p"], d["n1"], d["c1"], d["a1bar"]
             n2, c2, a2bar = d.get("n2"), d.get("c2"), d.get("a2bar")
@@ -68,11 +68,13 @@ class ScanRecord:
         ):
             raise ValueError(f"scan record field missing or mistyped: {d!r}")
         try:  # an int too large for a float overflows here
-            finite = math.isfinite(a1bar) and (genus1 or math.isfinite(a2bar))
+            exact = p >= 3 and a1bar == c1 / math.sqrt(p) and (
+                genus1 or a2bar == c2 / p
+            )
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"scan record has a non-finite real: {d!r}")
+            exact = False
+        if not exact:
+            raise ValueError(f"scan record has p < 3 or reals not c1/sqrt(p), c2/p: {d!r}")
         if n1 != p + 1 + c1 or not genus1 and n2 != p * p + 1 - c1 * c1 + 2 * c2:
             raise ValueError(f"scan record counts disagree with c1, c2: {d!r}")
         return cls(p=p, n1=n1, c1=c1, a1bar=a1bar, n2=n2, c2=c2, a2bar=a2bar)

@@ -9,6 +9,17 @@ import numpy as np
 from frobstat.arith import PolyModP, poly_trim
 from frobstat.laurent import LaurentPoly
 
+
+def legendre(p: int, a: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p by Euler's criterion."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def smallest_nonresidue(p: int) -> int:
+    return next(a for a in range(2, p) if legendre(p, a) == -1)
+
+
 # Elements of F_{p^2} = F_p[t]/(t^2 - d) are pairs (a, b) meaning a + b*t.
 
 

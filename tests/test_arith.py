@@ -1,9 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobstat.arith import (
-    CharacterTable,
     PolyModP,
     character_table,
     is_prime,
@@ -18,7 +18,7 @@ from frobstat.arith import (
     sieve_primes,
 )
 
-from oracles import chi2_direct, fp2_mul, poly_add
+from oracles import chi2_direct, fp2_mul, legendre, poly_add, smallest_nonresidue
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -38,8 +38,8 @@ def test_sieve_inclusive_endpoint():
 def test_character_table_basic_values():
     chi = character_table(7)
     # squares mod 7 are 1, 2, 4
-    assert [chi(a) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]
-    assert chi.nonresidue == 3
+    assert chi.dtype == np.int64
+    assert chi.tolist() == [0, 1, 1, -1, 1, -1, -1]
 
 
 def test_character_table_rejects_bad_modulus():
@@ -48,22 +48,27 @@ def test_character_table_rejects_bad_modulus():
             character_table(n)
 
 
+def test_character_table_matches_euler_criterion():
+    for p in sieve_primes(1000)[1:] + [10007, 65537]:
+        chi = character_table(p)
+        assert chi.tolist() == [legendre(p, a) for a in range(p)], p
+
+
 @pytest.mark.parametrize("p", sieve_primes(100)[1:])
 def test_character_is_multiplicative(p):
     chi = character_table(p)
-    for a in range(p):
-        for b in range(p):
-            assert chi(a * b % p) == chi(a) * chi(b)
-    assert sum(chi(a) for a in range(p)) == 0
-    assert chi(0) == 0
+    a = np.arange(p)
+    assert (chi[np.outer(a, a) % p] == np.outer(chi, chi)).all()
+    assert chi.sum() == 0
+    assert chi[0] == 0
 
 
 @pytest.mark.parametrize("p", sieve_primes(100)[1:])
 def test_nonresidue_is_smallest(p):
     chi = character_table(p)
-    d = chi.nonresidue
-    assert chi(d) == -1
-    assert all(chi(a) == 1 for a in range(1, d))
+    d = smallest_nonresidue(p)
+    assert chi[d] == -1
+    assert all(chi[a] == 1 for a in range(1, d))
 
 
 def _norm(p, d, x):
@@ -77,15 +82,15 @@ def test_fp2_character_matches_direct_power(p):
     # chi(Norm(x)) must agree with x^((p^2-1)/2) computed in the field,
     # for every element of F_{p^2} = F_p[t]/(t^2 - d)
     chi = character_table(p)
-    d = chi.nonresidue
+    d = smallest_nonresidue(p)
     for a in range(p):
         for b in range(p):
-            assert chi(_norm(p, d, (a, b))) == chi2_direct(p, d, (a, b))
+            assert chi[_norm(p, d, (a, b))] == chi2_direct(p, d, (a, b))
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_fp2_norm_is_multiplicative(p):
-    d = character_table(p).nonresidue
+    d = smallest_nonresidue(p)
     elems = [(a, b) for a in range(p) for b in range(p)]
     for x in elems[:40]:
         for y in elems[:40]:
@@ -98,7 +103,7 @@ def test_fp2_norm_is_multiplicative(p):
 def test_fp2_modulus_is_a_nonresidue():
     # t^2 - d has no root in F_p, so F_p[t]/(t^2 - d) is a field
     for p in SMALL_PRIMES:
-        d = character_table(p).nonresidue
+        d = smallest_nonresidue(p)
         assert all(a * a % p != d for a in range(p))
 
 

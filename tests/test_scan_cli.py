@@ -17,7 +17,7 @@ from frobstat.scan import (
     scan_curve,
     write_records,
 )
-from frobstat.stats import empirical_moments
+from frobstat.stats import ScanRecord, empirical_moments
 
 E1 = [1, 1, 0, 1]
 
@@ -56,14 +56,14 @@ def test_scan_bytes_identical_across_threads():
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the
-    initializer and the map in this process, and starts no process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    task's primes, runs the map in this process, and starts no process."""
 
     seen: list[int] = []
+    batches: list[list[int]] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.seen.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -71,19 +71,40 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        curves, batches = iterables
+        self.batches.extend(batches)
+        return map(fn, curves, batches)
 
 
-def test_scan_pool_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
     monkeypatch.setattr(scan, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(scan, "_WORK_CURVE", scan._WORK_CURVE)
     monkeypatch.setattr(_InProcessPool, "seen", [])
+    monkeypatch.setattr(_InProcessPool, "batches", [])
+    return _InProcessPool
+
+
+def test_scan_pool_capped_at_cpu_count(in_process_pool):
     curve = make_curve(E1)
     threaded = _dump(scan_curve(curve, 600, threads=10**6))
     cpus = os.cpu_count() or 1
-    assert _InProcessPool.seen or cpus == 1
-    assert all(w <= cpus for w in _InProcessPool.seen)
+    assert in_process_pool.seen or cpus == 1
+    assert all(w <= cpus for w in in_process_pool.seen)
+    assert threaded == _dump(scan_curve(curve, 600))
+
+
+def test_scan_pool_hands_out_largest_primes_first(in_process_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    curve = make_curve(E1)
+    threaded = _dump(scan_curve(curve, 600, threads=3))
+    assert in_process_pool.seen == [3]
+    batches = in_process_pool.batches
+    primes = good_primes(curve, 600)
+    assert len(batches) > 3
+    assert [p for b in batches for p in b] == primes[::-1]
+    firsts = [b[0] for b in batches]
+    assert firsts == sorted(firsts, reverse=True)
     assert threaded == _dump(scan_curve(curve, 600))
 
 
@@ -254,6 +275,15 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0.0}
+# c2 = 2 at p = 5, so the writer's a2bar is 2 / 5 = 0.4
+G2_C2 = {**GOOD_G2, "n2": 30, "c2": 2, "a2bar": 0.4}
+
+
+def test_valid_neighbours_of_corrupt_lines_read():
+    # each corrupt case differs from one of these in the field it names
+    lines = [GOOD_G2, G2_C2, {"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}]
+    for d in lines:
+        assert read_records(io.StringIO(json.dumps(d))) == [ScanRecord(**d)]
 
 
 @pytest.mark.parametrize("line", [
@@ -273,6 +303,12 @@ GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0
     pytest.param(json.dumps({"p": 5, "n1": 7, "c1": 0, "a1bar": 0.0}), id="n1-off-by-one"),
     pytest.param(json.dumps({**GOOD_G2, "n2": 28}), id="n2-off-by-two"),
     pytest.param(json.dumps(GOOD_G2) + "\n" + json.dumps(GOOD_G2), id="repeated-prime"),
+    pytest.param(json.dumps({"p": 5, "n1": 6, "c1": 0, "a1bar": 7.5}), id="a1bar-not-c1-over-sqrt-p"),
+    pytest.param(json.dumps({"p": 0, "n1": 1, "c1": 0, "a1bar": 0.0}), id="p-zero"),
+    pytest.param(json.dumps({"p": 2, "n1": 3, "c1": 0, "a1bar": 0.0}), id="p-two"),
+    pytest.param(json.dumps({**G2_C2, "a2bar": math.nextafter(0.4, 1.0)}), id="a2bar-one-ulp-off"),
+    pytest.param(json.dumps({"p": 5, "n1": 6 + 10**400, "c1": 10**400, "a1bar": 0.0}),
+                 id="c1-beyond-float-range"),
 ])
 def test_cli_corrupt_scan_lines_exit_2(tmp_path, capsys, line):
     scan = tmp_path / "corrupt.jsonl"
