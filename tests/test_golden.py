@@ -4,8 +4,10 @@ The catalog and sampler digests were recorded before the groups were
 declared as data (laws and coset classes), and the scan digests before the
 reduction check moved from a gcd mod p onto the discriminant.  None of them
 may move: the scan JSONL of a generic and a CM genus-1 curve and of a
-genus-2 curve, the catalog CSV, the component-group metadata CSV, and the
-eigenangle arrays of every group at two seeds.
+genus-2 curve, the catalog CSV, the component-group metadata CSV, the
+eigenangle arrays of every group at two seeds, and the CSV of the two side
+experiments (Chebotarev shapes of an S3 cubic and an S4 quartic, and Birch
+moments), recorded before the F_p polynomials became plain lists.
 """
 
 import contextlib
@@ -23,6 +25,15 @@ SCAN_SHA256 = {
     "--f=1,1,0,1 --N 2000": "932e8ca886f6ce5a487e4eec37eafaa3fb2b55587e011152357e07d13c1ebe5a",
     "--f=1,0,0,1 --N 2000": "6a071f30127f1aa307db1cc8b21374a8419c265bab461daf2486494a873f65dc",
     "--f=1,-1,0,0,0,1 --N 300": "ab2a4c4cdac64660a907fe978c2ce931af146085a74144f121179c3877e9b958",
+}
+# stdout of the side experiments with these arguments
+SIDE_SHA256 = {
+    ("chebotarev", "--poly=-2,0,0,1", "--group", "(1 2);(1 2 3)", "--N", "10000"):
+        "ca61c2da354c5f8c33c0c10053e3093330e1f1a13b656afa3404279d11beb6bc",
+    ("chebotarev", "--poly=-1,-1,0,0,1", "--group", "(1 2);(1 2 3 4)", "--N", "10000"):
+        "7b9f83ba8ba6755341c968d5de1032994b0bd5d828122b05513fd79f89902db7",
+    ("birch", "--p", "5,7,11,13,101,211,307"):
+        "93e0680e4ff452162ca0d983797ac5391dd237727cbd58c323049eb749e05a75",
 }
 CATALOG_SHA256 = "da077a2a45e93a4178bfea51cb30d43396774cfed9e2b3377589c645e59a7e4c"
 METADATA_SHA256 = "2c9ee3a7442c9cdde993861d607a5312d85f74628db4e6f8462e93dd56314846"
@@ -60,6 +71,11 @@ def _cli_sha256(argv):
 @pytest.mark.parametrize("args", sorted(SCAN_SHA256))
 def test_scan_jsonl_bytes_frozen(args):
     assert _cli_sha256(["scan", *args.split()]) == SCAN_SHA256[args]
+
+
+@pytest.mark.parametrize("argv", sorted(SIDE_SHA256))
+def test_side_experiment_csv_bytes_frozen(argv):
+    assert _cli_sha256(list(argv)) == SIDE_SHA256[argv]
 
 
 def test_catalog_csv_bytes_frozen():
