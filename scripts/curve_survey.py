@@ -19,6 +19,7 @@ from frobstat.stats import (
     empirical_density,
     empirical_moments,
     records_density_map,
+    z_scores,
 )
 
 # ascending f coefficients, group we expect the classifier to pick
@@ -42,16 +43,20 @@ def survey(coeffs, expect, n, threads):
           f"{len(records)} primes, {dt:.1f}s)")
 
     table = empirical_moments(records, dmax=8)
-    ranked = classify(table, records_density_map(records))
+    densities = records_density_map(records)
+    ranked = classify(table, densities)
     top = ranked[0][0]
     for (d1, d2) in SHOW_ORDERS:
         if (d1, d2) not in table.entries:
             continue
         stat = table.entries[(d1, d2)]
         exact = exact_moment(top, d1, d2)
-        z = (stat.value - float(exact)) / stat.stderr
         print(f"  M[{d1},{d2}] = {stat.value:8.4f} +- {stat.stderr:.4f}"
-              f"   {top} says {float(exact):7.4f}   (z = {z:+.2f})")
+              f"   {top} says {float(exact):7.4f}")
+    # the terms whose squares make up the classifier's score for top
+    print(f"  z-scores against {top}:")
+    for term, z in z_scores(table, densities)[top]:
+        print(f"    {term:<12} {z:+.2f}")
 
     mass0 = empirical_density(records, "a1", Fraction(0))
     print(f"  mass at a1 = 0: {mass0.hits}/{mass0.n} "

@@ -4,12 +4,13 @@ Everything here is exact integer arithmetic.  The quadratic character table
 (an int64 array indexed by residue, so the counting modules index it with
 whole arrays of values) and dense polynomials over F_p for the
 factorization-shape scan are the only pieces of field theory the rest of
-the package needs.
+the package needs.  A polynomial over F_p is a plain list of ascending
+coefficients, each a residue in [0, p), with no trailing zeros ([] is
+zero); the functions take p as their last argument.  poly_trim is the one
+place that strips trailing zeros, also for integer coefficient lists.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,113 +56,74 @@ def character_table(p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over F_p, coefficient index = exponent
+# dense univariate polynomials over F_p as lists, coefficient index =
+# exponent, so len(a) - 1 is the degree; only poly_trim changes its input
 
 def poly_trim(coeffs: list[int]) -> list[int]:
+    """Strip trailing zeros in place and return the list."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-@dataclass(frozen=True)
-class PolyModP:
-    """A polynomial over F_p.  coeffs[i] is the coefficient of x^i, reduced
-    into [0, p); no trailing zeros, so the zero polynomial has coeffs == ()."""
-
-    p: int
-    coeffs: tuple[int, ...] = field(default=())
-
-    @classmethod
-    def make(cls, p: int, coeffs) -> "PolyModP":
-        c = [int(a) % p for a in coeffs]
-        return cls(p=p, coeffs=tuple(poly_trim(c)))
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def poly_sub(a: PolyModP, b: PolyModP) -> PolyModP:
-    p = a.p
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        out[i] = c
-    for i, c in enumerate(b.coeffs):
+def poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
-    return PolyModP(p, tuple(poly_trim(out)))
+    return poly_trim(out)
 
 
-def poly_mul(a: PolyModP, b: PolyModP) -> PolyModP:
-    p = a.p
-    if a.is_zero() or b.is_zero():
-        return PolyModP(p)
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b.coeffs):
+            for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return PolyModP(p, tuple(poly_trim([c % p for c in out])))
+    return poly_trim([c % p for c in out])
 
 
-def poly_divmod(a: PolyModP, f: PolyModP) -> tuple[PolyModP, PolyModP]:
+def poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by f over F_p.  f must be nonzero."""
-    p = a.p
-    if f.is_zero():
+    if not f:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    df = f.degree
-    inv_lead = pow(f.coeffs[-1], p - 2, p)
+    df = len(f) - 1
+    inv_lead = pow(f[-1], p - 2, p)
+    r = list(a)
     quot = [0] * max(len(r) - df, 0)
-    while len(r) - 1 >= df:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] * inv_lead % p
-        shift = len(r) - 1 - df
-        quot[shift] = q
-        for i, c in enumerate(f.coeffs):
-            r[shift + i] = (r[shift + i] - q * c) % p
-        r.pop()
-    return PolyModP(p, tuple(poly_trim(quot))), PolyModP(p, tuple(poly_trim(r)))
+    while len(r) > df:
+        q = r.pop() * inv_lead % p
+        if q:
+            shift = len(r) - df
+            quot[shift] = q
+            r[shift:] = [(c - q * fc) % p for c, fc in zip(r[shift:], f)]
+    return quot, poly_trim(r)
 
 
-def poly_rem(a: PolyModP, f: PolyModP) -> PolyModP:
-    """a mod f.  f must be nonzero."""
-    return poly_divmod(a, f)[1]
-
-
-def poly_gcd(a: PolyModP, b: PolyModP) -> PolyModP:
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over F_p (Euclid); gcd(0, 0) = 0."""
-    p = a.p
-    while not b.is_zero():
-        a, b = b, poly_rem(a, b)
-    if a.is_zero():
-        return a
-    inv = pow(a.coeffs[-1], p - 2, p)
-    return PolyModP(p, tuple(c * inv % p for c in a.coeffs))
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
 
 
-def poly_powmod(base: PolyModP, e: int, f: PolyModP) -> PolyModP:
+def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     """base^e mod f by square and multiply; e >= 0."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    p = base.p
-    result = PolyModP(p, (1,))
-    acc = poly_rem(base, f)
+    result = [1]
+    acc = poly_divmod(base, f, p)[1]
     while e:
         if e & 1:
-            result = poly_rem(poly_mul(result, acc), f)
-        acc = poly_rem(poly_mul(acc, acc), f)
+            result = poly_divmod(poly_mul(result, acc, p), f, p)[1]
+        acc = poly_divmod(poly_mul(acc, acc, p), f, p)[1]
         e >>= 1
     return result
 
 
-def poly_derivative(a: PolyModP) -> PolyModP:
-    p = a.p
-    out = [i * c % p for i, c in enumerate(a.coeffs)][1:]
-    return PolyModP(p, tuple(poly_trim(out)))
+def poly_derivative(a: list[int], p: int) -> list[int]:
+    return poly_trim([i * c % p for i, c in enumerate(a)][1:])

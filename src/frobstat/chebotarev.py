@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    PolyModP,
     poly_derivative,
     poly_divmod,
     poly_gcd,
     poly_powmod,
-    poly_rem,
     poly_sub,
+    poly_trim,
     sieve_primes,
 )
 
@@ -37,34 +36,33 @@ def factorization_shape(f_coeffs, p: int) -> tuple[int, ...]:
     the degree-i factors.  Raises SkippedPrimeError when p divides the
     leading coefficient or f mod p is not squarefree.
     """
-    coeffs = [int(a) for a in f_coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = poly_trim([int(a) for a in f_coeffs])
     if len(coeffs) < 2:
         raise ValueError("need deg f >= 1")
     if coeffs[-1] % p == 0:
         raise SkippedPrimeError(f"p={p} divides the leading coefficient")
-    f = PolyModP.make(p, coeffs)
-    if poly_gcd(f, poly_derivative(f)).degree != 0:
+    f = [a % p for a in coeffs]
+    if len(poly_gcd(f, poly_derivative(f, p), p)) != 1:
         raise SkippedPrimeError(f"f is not squarefree mod p={p}")
 
     shape: list[int] = []
-    x = PolyModP.make(p, [0, 1])
-    h = poly_rem(x, f)  # x^{p^0 * 1}; powered up once per round
+    x = [0, 1]
+    h = poly_divmod(x, f, p)[1]  # x^{p^0 * 1}; powered up once per round
     d = 0
-    while f.degree > 0:
+    while len(f) > 1:
         d += 1
-        if 2 * d > f.degree:
+        deg = len(f) - 1
+        if 2 * d > deg:
             # whatever remains has no factor of degree <= deg/2: irreducible
-            shape.append(f.degree)
+            shape.append(deg)
             break
-        h = poly_powmod(h, p, f)
-        g = poly_gcd(f, poly_sub(h, x))
-        if g.degree > 0:
-            assert g.degree % d == 0
-            shape.extend([d] * (g.degree // d))
-            f = poly_divmod(f, g)[0]
-            h = poly_rem(h, f)
+        h = poly_powmod(h, p, f, p)
+        g = poly_gcd(f, poly_sub(h, x, p), p)
+        if len(g) > 1:
+            assert (len(g) - 1) % d == 0
+            shape.extend([d] * ((len(g) - 1) // d))
+            f = poly_divmod(f, g, p)[0]
+            h = poly_divmod(h, f, p)[1]
     return tuple(sorted(shape))
 
 
@@ -178,9 +176,7 @@ def chebotarev_scan(
     Raises ValueError if a shape shows up that the group cannot produce
     (that means the supplied group is not the Galois group of f).
     """
-    coeffs = [int(a) for a in f_coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = poly_trim([int(a) for a in f_coeffs])
     deg = len(coeffs) - 1
     if generators and len(generators[0]) != deg:
         raise ValueError(

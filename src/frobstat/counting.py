@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import character_table, is_prime, sieve_primes
+from .arith import character_table, is_prime, poly_trim, sieve_primes
 
 # the F_{p^2} count's lazy reduction keeps values below about 3.5 p^3,
 # which fits in int64 only for p below this bound
@@ -65,9 +65,7 @@ def poly_discriminant(coeffs: list[int]) -> int:
     disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), computed exactly via the
     Sylvester determinant.
     """
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
+    c = poly_trim(list(coeffs))
     n = len(c) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
@@ -125,9 +123,7 @@ class HyperellipticCurve:
 
 
 def make_curve(f_coeffs) -> HyperellipticCurve:
-    c = [int(a) for a in f_coeffs]
-    while c and c[-1] == 0:
-        c.pop()
+    c = poly_trim([int(a) for a in f_coeffs])
     deg = len(c) - 1
     if deg < 3 or deg > 6:
         raise ValueError(f"deg f must be 3..6, got {deg}")

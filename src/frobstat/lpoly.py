@@ -63,10 +63,14 @@ def _sqrt_compare(u: int, v: int, p: int) -> bool:
 def weil_check(lp: LPoly) -> bool:
     """True iff all inverse roots of P have absolute value sqrt(p), decided
     exactly on (c1, c2, p) with no floating point."""
-    p, c1 = lp.p, lp.c1
-    if lp.genus == 1:
+    return weil_ok(lp.p, lp.c1, None if lp.genus == 1 else lp.c2)
+
+
+def weil_ok(p: int, c1: int, c2: Optional[int]) -> bool:
+    """weil_check on bare coefficients, c2 None for genus 1, so a reader
+    can test a record without building an LPoly."""
+    if c2 is None:
         return c1 * c1 <= 4 * p
-    c2 = lp.c2
     # h(t) = t^2 + a1 t + (a2 - 2) needs two real roots in [-2, 2]:
     # disc >= 0, h(2) >= 0, h(-2) >= 0, vertex -a1/2 in [-2, 2]
     if c1 * c1 - 4 * c2 + 8 * p < 0:  # p * disc

@@ -67,8 +67,8 @@ def write_records(records: Iterable[ScanRecord], stream: IO[str]) -> None:
 
 
 def read_records(stream: IO[str]) -> list[ScanRecord]:
-    """Records of a JSONL scan, in file order; ValueError on a bad line or a
-    prime that appears twice."""
+    """Records of a JSONL scan, in file order; ValueError on a bad line, a
+    prime that appears twice, or genus-1 and genus-2 records in one file."""
     records, seen = [], set()
     for line in stream:
         line = line.strip()
@@ -78,6 +78,8 @@ def read_records(stream: IO[str]) -> list[ScanRecord]:
                 raise ValueError(f"prime {rec.p} appears twice in the scan")
             seen.add(rec.p)
             records.append(rec)
+    if len({rec.genus for rec in records}) > 1:
+        raise ValueError("scan mixes genus-1 and genus-2 records")
     return records
 
 

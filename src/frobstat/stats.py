@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .haar import catalog, exact_moment, moment_orders
+from .lpoly import weil_ok
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,9 @@ class ScanRecord:
         line is not an object, a field has the wrong type, the genus-2
         fields n2, c2, a2bar are not all present or all absent, p < 3, a
         real is not exactly the writer's c1/sqrt(p) or c2/p (JSON floats
-        round-trip), or a count disagrees: n1 = p+1+c1, n2 = p^2+1-c1^2+2*c2."""
+        round-trip), a count disagrees: n1 = p+1+c1, n2 = p^2+1-c1^2+2*c2,
+        or (c1, c2) fails the exact Weil bound.  p is not tested for
+        primality."""
         try:
             p, n1, c1, a1bar = d["p"], d["n1"], d["c1"], d["a1bar"]
             n2, c2, a2bar = d.get("n2"), d.get("c2"), d.get("a2bar")
@@ -77,6 +80,8 @@ class ScanRecord:
             raise ValueError(f"scan record has p < 3 or reals not c1/sqrt(p), c2/p: {d!r}")
         if n1 != p + 1 + c1 or not genus1 and n2 != p * p + 1 - c1 * c1 + 2 * c2:
             raise ValueError(f"scan record counts disagree with c1, c2: {d!r}")
+        if not weil_ok(p, c1, c2):
+            raise ValueError(f"scan record fails the Weil bound: {d!r}")
         return cls(p=p, n1=n1, c1=c1, a1bar=a1bar, n2=n2, c2=c2, a2bar=a2bar)
 
 
@@ -236,6 +241,41 @@ def tracked_densities(genus: int) -> list[tuple[str, Fraction]]:
     return list(_DENSITY_G1 if genus == 1 else _DENSITY_G2)
 
 
+def z_scores(
+    table: MomentTable,
+    densities: Optional[dict[tuple[str, Fraction], DensityStat]] = None,
+) -> dict[str, list[tuple[str, float]]]:
+    """Per-term standardized distances from each catalog group of the
+    table's genus, in catalog order: group id -> [(term, z), ...].
+
+    z = (emp - exact) / max(se, floor), first for the tracked moments in
+    the table ("M[d1,d2]"), then for the point masses in sorted order
+    ("mass a2=-2").
+    """
+    densities = densities or {}
+    out = {}
+    for entry in catalog():
+        if entry.genus != table.genus:
+            continue
+        terms = []
+        for order in tracked_orders(table.genus):
+            stat = table.entries.get(order)
+            if stat is None:
+                continue
+            theo = float(exact_moment(entry.id, order[0], order[1]))
+            z = (stat.value - theo) / max(stat.stderr, STDERR_FLOOR)
+            terms.append((f"M[{order[0]},{order[1]}]", z))
+        for key, dstat in sorted(densities.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+            stat_name, v = key
+            theo = float(entry.point_mass(stat_name, v))
+            freq = float(dstat.frequency)
+            se = math.sqrt(max(freq * (1.0 - freq), 0.0) / dstat.n)
+            z = (freq - theo) / max(se, STDERR_FLOOR)
+            terms.append((f"mass {stat_name}={v}", z))
+        out[entry.id] = terms
+    return out
+
+
 def classify(
     table: MomentTable,
     densities: Optional[dict[tuple[str, Fraction], DensityStat]] = None,
@@ -243,31 +283,16 @@ def classify(
     """Rank the catalog groups of the table's genus by squared standardized
     distance.
 
-    score(G) = sum over tracked moments of ((emp - exact) / max(se, floor))^2
-    plus the same for tracked point masses.  Ascending score; ties broken
-    lexicographically by group id, so the output is fully deterministic.
+    score(G) is the sum of the squares of z_scores' terms for G, added in
+    their order.  Ascending score; ties broken lexicographically by group
+    id, so the output is fully deterministic.
     """
-    densities = densities or {}
     results = []
-    for entry in catalog():
-        if entry.genus != table.genus:
-            continue
+    for gid, terms in z_scores(table, densities).items():
         score = 0.0
-        for order in tracked_orders(table.genus):
-            stat = table.entries.get(order)
-            if stat is None:
-                continue
-            theo = float(exact_moment(entry.id, order[0], order[1]))
-            z = (stat.value - theo) / max(stat.stderr, STDERR_FLOOR)
+        for _, z in terms:
             score += z * z
-        for key, dstat in sorted(densities.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            stat_name, v = key
-            theo = float(entry.point_mass(stat_name, v))
-            freq = float(dstat.frequency)
-            se = math.sqrt(max(freq * (1.0 - freq), 0.0) / dstat.n)
-            z = (freq - theo) / max(se, STDERR_FLOOR)
-            score += z * z
-        results.append((entry.id, score))
+        results.append((gid, score))
     results.sort(key=lambda t: (t[1], t[0]))
     return results
 

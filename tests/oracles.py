@@ -6,7 +6,7 @@ correct versions of quantities the runtime computes another way.
 
 import numpy as np
 
-from frobstat.arith import PolyModP, poly_trim
+from frobstat.arith import poly_trim
 from frobstat.laurent import LaurentPoly
 
 
@@ -53,15 +53,15 @@ def chi2_direct(p: int, d: int, x: tuple[int, int]) -> int:
     raise AssertionError(f"character value {y} not +-1")
 
 
-def poly_add(a: PolyModP, b: PolyModP) -> PolyModP:
-    p = a.p
-    n = max(len(a.coeffs), len(b.coeffs))
+def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
+    """a + b over F_p, on the package's trimmed residue lists."""
+    n = max(len(a), len(b))
     out = [0] * n
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(a):
         out[i] = c
-    for i, c in enumerate(b.coeffs):
+    for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return PolyModP(p, tuple(poly_trim(out)))
+    return poly_trim(out)
 
 
 def singular_count(p: int) -> int:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobstat.arith import (
-    PolyModP,
     character_table,
     is_prime,
     poly_derivative,
@@ -12,7 +11,6 @@ from frobstat.arith import (
     poly_gcd,
     poly_mul,
     poly_powmod,
-    poly_rem,
     poly_sub,
     poly_trim,
     sieve_primes,
@@ -108,22 +106,22 @@ def test_fp2_modulus_is_a_nonresidue():
 
 
 def _poly(p, coeffs):
-    return PolyModP.make(p, coeffs)
+    return poly_trim([c % p for c in coeffs])
 
 
 def test_powmod_frozen_example():
     # x^5 mod (x^3 - 2) over F_5: x^5 = x^2 * x^3 = 2x^2
     f = _poly(5, [-2, 0, 0, 1])
     x = _poly(5, [0, 1])
-    assert poly_powmod(x, 5, f).coeffs == (0, 0, 2)
+    assert poly_powmod(x, 5, f, 5) == [0, 0, 2]
 
 
 def test_gcd_frozen_example():
     # gcd(x^2 - 1, x - 1) = x - 1 over F_7
     a = _poly(7, [-1, 0, 1])
     b = _poly(7, [-1, 1])
-    g = poly_gcd(a, b)
-    assert g.coeffs == (6, 1)
+    g = poly_gcd(a, b, 7)
+    assert g == [6, 1]
 
 
 coeff_lists = st.lists(st.integers(-20, 20), min_size=0, max_size=6)
@@ -133,35 +131,38 @@ coeff_lists = st.lists(st.integers(-20, 20), min_size=0, max_size=6)
 @settings(max_examples=150, deadline=None)
 def test_poly_ring_axioms(p, a, b, c):
     A, B, C = _poly(p, a), _poly(p, b), _poly(p, c)
-    assert poly_add(A, B) == poly_add(B, A)
-    assert poly_mul(A, B) == poly_mul(B, A)
-    assert poly_mul(A, poly_add(B, C)) == poly_add(poly_mul(A, B), poly_mul(A, C))
-    assert poly_sub(poly_add(A, B), B) == A
+    assert poly_add(A, B, p) == poly_add(B, A, p)
+    assert poly_mul(A, B, p) == poly_mul(B, A, p)
+    assert poly_mul(A, poly_add(B, C, p), p) == poly_add(
+        poly_mul(A, B, p), poly_mul(A, C, p), p
+    )
+    assert poly_sub(poly_add(A, B, p), B, p) == A
 
 
 @given(p=st.sampled_from(SMALL_PRIMES), a=coeff_lists, f=coeff_lists)
 @settings(max_examples=150, deadline=None)
 def test_divmod_reconstructs(p, a, f):
     A, F = _poly(p, a), _poly(p, f)
-    if F.is_zero():
+    if not F:
         return
-    q, r = poly_divmod(A, F)
-    assert poly_add(poly_mul(q, F), r) == A
-    assert r.is_zero() or r.degree < F.degree
-    assert poly_rem(A, F) == r
+    q, r = poly_divmod(A, F, p)
+    assert poly_add(poly_mul(q, F, p), r, p) == A
+    assert not r or len(r) < len(F)
+    # A - r is a multiple of F, with the same quotient
+    assert poly_divmod(poly_sub(A, r, p), F, p) == (q, [])
 
 
 @given(p=st.sampled_from(SMALL_PRIMES), a=coeff_lists, b=coeff_lists)
 @settings(max_examples=150, deadline=None)
 def test_gcd_divides_both_and_is_monic(p, a, b):
     A, B = _poly(p, a), _poly(p, b)
-    g = poly_gcd(A, B)
-    if g.is_zero():
-        assert A.is_zero() and B.is_zero()
+    g = poly_gcd(A, B, p)
+    if not g:
+        assert not A and not B
         return
-    assert g.coeffs[-1] == 1
-    assert poly_rem(A, g).is_zero()
-    assert poly_rem(B, g).is_zero()
+    assert g[-1] == 1
+    assert not poly_divmod(A, g, p)[1]
+    assert not poly_divmod(B, g, p)[1]
 
 
 @given(p=st.sampled_from(SMALL_PRIMES), base=coeff_lists, f=coeff_lists,
@@ -169,21 +170,47 @@ def test_gcd_divides_both_and_is_monic(p, a, b):
 @settings(max_examples=100, deadline=None)
 def test_powmod_matches_repeated_multiplication(p, base, f, e):
     B, F = _poly(p, base), _poly(p, f)
-    if F.degree < 1:
+    if len(F) < 2:
         return
     acc = _poly(p, [1])
     for _ in range(e):
-        acc = poly_rem(poly_mul(acc, B), F)
-    assert poly_powmod(B, e, F) == acc
+        acc = poly_divmod(poly_mul(acc, B, p), F, p)[1]
+    assert poly_powmod(B, e, F, p) == acc
 
 
 @given(p=st.sampled_from(SMALL_PRIMES), a=coeff_lists, b=coeff_lists)
 @settings(max_examples=150, deadline=None)
 def test_derivative_product_rule(p, a, b):
     A, B = _poly(p, a), _poly(p, b)
-    lhs = poly_derivative(poly_mul(A, B))
-    rhs = poly_add(poly_mul(poly_derivative(A), B), poly_mul(A, poly_derivative(B)))
+    lhs = poly_derivative(poly_mul(A, B, p), p)
+    rhs = poly_add(
+        poly_mul(poly_derivative(A, p), B, p), poly_mul(A, poly_derivative(B, p), p), p
+    )
     assert lhs == rhs
+
+
+def _is_layer_list(a, p):
+    return type(a) is list and all(0 <= c < p for c in a) and (not a or a[-1] != 0)
+
+
+@given(p=st.sampled_from(SMALL_PRIMES + [10007]),
+       a=st.lists(st.integers(-(10**6), 10**6), max_size=7),
+       b=st.lists(st.integers(-(10**6), 10**6), max_size=7),
+       e=st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_layer_functions_return_trimmed_residue_lists(p, a, b, e):
+    # the list form carries no type: every function must hand back residues
+    # in [0, p) with no trailing zeros, and leave its arguments alone
+    A, B = _poly(p, a), _poly(p, b)
+    a_copy, b_copy = list(A), list(B)
+    outs = [poly_sub(A, B, p), poly_mul(A, B, p), poly_gcd(A, B, p),
+            poly_derivative(A, p)]
+    if B:
+        outs.extend(poly_divmod(A, B, p))
+        outs.append(poly_powmod(A, e, B, p))
+    for out in outs:
+        assert _is_layer_list(out, p), out
+    assert (A, B) == (a_copy, b_copy)
 
 
 def test_poly_trim_strips_leading_zeros():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobstat import counting
-from frobstat.arith import PolyModP, poly_derivative, poly_gcd, sieve_primes
+from frobstat.arith import poly_derivative, poly_gcd, sieve_primes
 from frobstat.counting import (
     EXT2_MAX_P,
     BadReductionError,
@@ -157,8 +157,8 @@ def test_reduction_check_agrees_with_squarefree_gcd(coeffs, p):
         return
     if curve.leading % p == 0:
         return
-    fbar = PolyModP.make(p, curve.f_coeffs)
-    squareful = poly_gcd(fbar, poly_derivative(fbar)).degree > 0
+    fbar = [a % p for a in curve.f_coeffs]  # trimmed: p does not divide lc(f)
+    squareful = len(poly_gcd(fbar, poly_derivative(fbar, p), p)) > 1
     assert (curve.disc % p == 0) == squareful
     try:
         count_points(curve, p)

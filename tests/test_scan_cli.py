@@ -5,10 +5,13 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobstat import cli, scan
 from frobstat.counting import WeilBoundError, count_points, good_primes, make_curve
-from frobstat.lpoly import lpoly_from_counts
+from frobstat.arith import sieve_primes
+from frobstat.lpoly import LPoly, lpoly_from_counts, weil_check
 from frobstat.scan import (
     ScanConfig,
     read_records,
@@ -309,13 +312,56 @@ def test_valid_neighbours_of_corrupt_lines_read():
     pytest.param(json.dumps({**G2_C2, "a2bar": math.nextafter(0.4, 1.0)}), id="a2bar-one-ulp-off"),
     pytest.param(json.dumps({"p": 5, "n1": 6 + 10**400, "c1": 10**400, "a1bar": 0.0}),
                  id="c1-beyond-float-range"),
+    pytest.param('{"p":5,"n1":16,"c1":10,"a1bar":4.47213595499958}', id="g1-c1-past-weil"),
+    pytest.param(json.dumps({**GOOD_G2, "n2": 48, "c2": 11, "a2bar": 2.2}), id="g2-c2-past-weil"),
+    pytest.param(json.dumps({"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}) + "\n" + json.dumps(GOOD_G2),
+                 id="genus-1-then-genus-2"),
 ])
 def test_cli_corrupt_scan_lines_exit_2(tmp_path, capsys, line):
     scan = tmp_path / "corrupt.jsonl"
     scan.write_text(line + "\n")
-    for command in ("moments", "classify"):
+    for command in ("moments", "classify", "hist", "density"):
         assert cli.main([command, "--in", str(scan)]) == 2
-    assert "error:" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err
+
+
+def _record_line(p, c1, c2=None):
+    # the line a scan writes for these coefficients, Weil-admissible or not
+    g2 = c2 is not None
+    rec = ScanRecord(p=p, n1=p + 1 + c1, c1=c1, a1bar=c1 / math.sqrt(p),
+                     n2=p * p + 1 - c1 * c1 + 2 * c2 if g2 else None,
+                     c2=c2, a2bar=c2 / p if g2 else None)
+    return json.dumps(rec.to_json_dict())
+
+
+def _reads(line):
+    try:
+        read_records(io.StringIO(line))
+    except ValueError:
+        return False
+    return True
+
+
+PRIMES = sieve_primes(10**5)[1:]
+
+
+@given(p=st.sampled_from(PRIMES), sign=st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_genus1_weil_boundary_on_read(p, sign):
+    edge = math.isqrt(4 * p)  # floor(2 sqrt(p))
+    assert _reads(_record_line(p, sign * edge))
+    assert not _reads(_record_line(p, sign * (edge + 1)))
+
+
+@given(p=st.sampled_from(PRIMES[:400]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_genus2_weil_boundary_on_read(p, data):
+    # c2 within a few units of one of the curves bounding the admissible
+    # region: c2 = c1^2/4 + 2p (disc = 0) and c2 = 2|c1|sqrt(p) - 2p (h(+-2) = 0)
+    c1 = data.draw(st.integers(-math.isqrt(16 * p) - 2, math.isqrt(16 * p) + 2))
+    edge = data.draw(st.sampled_from([c1 * c1 // 4 + 2 * p, math.isqrt(4 * c1 * c1 * p) - 2 * p]))
+    c2 = edge + data.draw(st.integers(-2, 2))
+    assert _reads(_record_line(p, c1, c2)) == weil_check(LPoly(2, p, c1, c2))
 
 
 def test_cli_internal_failure_exit(monkeypatch, capsys):

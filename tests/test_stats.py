@@ -18,6 +18,7 @@ from frobstat.stats import (
     records_density_map,
     tracked_densities,
     tracked_orders,
+    z_scores,
 )
 
 
@@ -147,6 +148,37 @@ def test_classifier_deterministic_tie_break():
     # no tracked orders populated: all scores identical, order is by id
     ranked = classify(table, {})
     assert [g for g, _ in ranked] == sorted(g for g, _ in ranked)
+
+
+def _noisy_records(genus):
+    # a spread of consistent records, so every term has a nonzero stderr
+    if genus == 1:
+        return [_rec1(p, c1) for p, c1 in [(5, 0), (7, -2), (11, 3), (13, 0), (17, 5)]]
+    return [_rec2(p, c1, c2) for p, c1, c2 in
+            [(5, 0, 10), (7, 1, -3), (11, -2, 0), (13, 0, 13), (17, 4, 9)]]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_classify_score_is_the_sum_of_squared_z_scores(genus):
+    recs = _noisy_records(genus)
+    table = empirical_moments(recs)
+    densities = records_density_map(recs)
+    terms = z_scores(table, densities)
+    scores = dict(classify(table, densities))
+    assert list(terms) == [e.id for e in catalog() if e.genus == genus]
+    for gid, group_terms in terms.items():
+        assert [t for t, _ in group_terms] == (
+            [f"M[{d1},{d2}]" for d1, d2 in tracked_orders(genus)]
+            + [f"mass {stat}={v}" for stat, v in sorted(tracked_densities(genus))]
+        )
+        score = 0.0
+        for _, z in group_terms:
+            score += z * z
+        assert score == scores[gid]
+        m2 = table.entries[(2, 0)]
+        assert dict(group_terms)["M[2,0]"] == (
+            (m2.value - float(exact_moment(gid, 2, 0))) / max(m2.stderr, 1e-3)
+        )
 
 
 def test_records_density_map_covers_tracked_values():
