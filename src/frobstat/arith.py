@@ -66,6 +66,13 @@ def poly_trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
+def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return poly_trim(out)
+
+
 def poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
     out = a + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
@@ -111,6 +118,23 @@ def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+def poly_xgcd(
+    a: list[int], b: list[int], p: int
+) -> tuple[list[int], list[int], list[int]]:
+    """(g, s, t) with g = s*a + t*b the monic gcd over F_p; all three are
+    zero when a and b are."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
+    if not r0:
+        return [], [], []
+    inv = pow(r0[-1], p - 2, p)
+    return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
+
+
 def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     """base^e mod f by square and multiply; e >= 0."""
     if e < 0:
@@ -127,3 +151,51 @@ def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 def poly_derivative(a: list[int], p: int) -> list[int]:
     return poly_trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def poly_root(f: list[int], p: int) -> int | None:
+    """A root of f in F_p, or None when f has none; deg f >= 1.
+
+    gcd(x^p - x, f) is the product of the distinct linear factors of f.
+    While it has more than one, gcd((x + a)^((p-1)/2) - 1, g) for
+    a = 0, 1, 2, ... keeps the roots r with r + a a nonzero square, and
+    the smaller side of the first proper split replaces g.
+    """
+    x = [0, 1]
+    g = poly_gcd(f, poly_sub(poly_powmod(x, p, f, p), x, p), p)
+    if len(g) < 2:
+        return None
+    a = 0
+    while len(g) > 2:
+        h = poly_gcd(g, poly_sub(poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            rest = poly_divmod(g, h, p)[0]
+            g = h if len(h) <= len(rest) else rest
+        a += 1
+    return -g[0] % p
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the square a mod an odd prime p (Tonelli-Shanks,
+    with the smallest nonresidue as the generator); ValueError when a is
+    not a square."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
+        t = t * c % p
+    return r

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -155,28 +156,33 @@ def _assert_weil(count: int, p: int, ext: int, genus: int) -> None:
         )
 
 
-def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
+def count_points(
+    curve: HyperellipticCurve, p: int, ext: int = 1, chi: Optional[np.ndarray] = None
+) -> int:
     """Number of points on the smooth model of the curve over F_{p^ext}.
 
     ext is 1 or 2.  Affine points are counted by the quadratic character
     sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly one point.
-    Raises BadReductionError for unusable primes, ValueError for ext = 2 at
-    p >= EXT2_MAX_P, and WeilBoundError if the result falls outside the
-    Hasse-Weil interval (which would be a bug).  The F_p count and the
-    character table form values below p^2 in int64, so they are exact only
-    for p < 3.03e9; their 8p-byte arrays exhaust memory long before that.
+    chi, when given, is character_table(p), so that a caller who needs the
+    table too builds it once.  Raises BadReductionError for unusable
+    primes, ValueError for ext = 2 at p >= EXT2_MAX_P, and WeilBoundError
+    if the result falls outside the Hasse-Weil interval (which would be a
+    bug).  The F_p count and the character table form values below p^2 in
+    int64, so they are exact only for p < 3.03e9; their 8p-byte arrays
+    exhaust memory long before that.
     """
     _check_reduction(curve, p)
-    if ext == 1:
-        n = _count_ext1(curve, p)
-    elif ext == 2:
-        if p >= EXT2_MAX_P:
-            raise ValueError(
-                f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
-            )
-        n = _count_ext2(curve, p)
-    else:
+    if ext not in (1, 2):
         raise ValueError(f"ext must be 1 or 2, got {ext}")
+    if ext == 2 and p >= EXT2_MAX_P:
+        raise ValueError(
+            f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
+        )
+    if chi is None:
+        chi = character_table(p)
+    elif len(chi) != p:
+        raise ValueError(f"the character table has {len(chi)} entries, not p={p}")
+    n = _count_ext1(curve, p, chi) if ext == 1 else _count_ext2(curve, p, chi)
     _assert_weil(n, p, ext, curve.genus)
     return n
 
@@ -190,8 +196,7 @@ def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
     return acc
 
 
-def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
-    chi = character_table(p)
+def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
     values = _values_mod_p([a % p for a in curve.f_coeffs], p)
     affine = p + int(chi[values].sum())
     if curve.degree % 2 == 1:
@@ -201,14 +206,13 @@ def _count_ext1(curve: HyperellipticCurve, p: int) -> int:
     return affine + inf
 
 
-def _count_ext2(curve: HyperellipticCurve, p: int) -> int:
+def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
     """Count over F_{p^2} = F_p[t]/(t^2 - d).
 
     Evaluates f by Horner directly in the extension and tests squareness via
     chi_p(Norm).  Conjugate elements a + bt and a - bt give equal character
     values, so only b in 0..(p-1)/2 is evaluated and the b > 0 half doubled.
     """
-    chi = character_table(p)
     # the smallest nonresidue d defines F_{p^2} = F_p[t]/(t^2 - d)
     d = int(np.argmax(chi < 0))
     coeffs = [a % p for a in curve.f_coeffs]

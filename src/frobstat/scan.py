@@ -2,23 +2,29 @@
 one JSONL record per prime, ascending.
 
 Output is byte-identical for identical configs regardless of thread count:
-workers only parallelize the per-prime counting.  Since a prime's cost
-grows like p^2, the pool is handed batches of the largest primes first,
-and the batches come back in hand-out order, so the merged list is simply
-reversed before anything is written.
+workers only parallelize the per-prime work.  A prime's cost grows with p,
+so the pool is handed batches of the largest primes first, and the batches
+come back in hand-out order, so the merged list is simply reversed before
+anything is written.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
+from .arith import character_table
 from .counting import HyperellipticCurve, count_points, good_primes, make_curve
-from .lpoly import lpoly_from_counts, normalize
+from .hasse_witt import hasse_witt_lpoly
+from .lpoly import lpoly_from_counts, normalize, predicted_count
 from .stats import ScanRecord
+
+# the F_{p^2} count is the cheaper genus-2 path below this prime
+HASSE_WITT_MIN_P = 150
 
 
 @dataclass(frozen=True)
@@ -30,9 +36,24 @@ class ScanConfig:
 
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
-    n1 = count_points(curve, p, 1)
-    n2 = count_points(curve, p, 2) if curve.genus == 2 else None
-    lp = lpoly_from_counts(curve.genus, p, n1, n2)
+    """The record of one good prime.  It builds the character table once
+    and hands it to the F_p count and to the genus-2 path it picks: the
+    Hasse-Witt matrix and the Jacobian order from p = HASSE_WITT_MIN_P on,
+    and the F_{p^2} count below that, for a sextic with no root mod p, and
+    where the Jacobian points leave c2 undecided."""
+    chi = character_table(p)
+    n1 = count_points(curve, p, 1, chi)
+    if curve.genus == 1:
+        lp, n2 = lpoly_from_counts(1, p, n1), None
+    else:
+        lp = None
+        if p >= HASSE_WITT_MIN_P:
+            lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi)
+        if lp is None:
+            n2 = count_points(curve, p, 2, chi)
+            lp = lpoly_from_counts(2, p, n1, n2)
+        else:
+            n2 = predicted_count(lp, 2)
     nc = normalize(lp)
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 
@@ -41,6 +62,18 @@ def _records(curve: HyperellipticCurve, primes: list[int]) -> list[ScanRecord]:
     """Records for primes in the given order: the serial scan, and one
     batch of the pool's."""
     return [record_for_prime(curve, p) for p in primes]
+
+
+def _spread(started) -> None:
+    """Pool initializer: move this worker once onto a CPU of its own, then
+    allow every CPU again.  Linux can leave forked workers on the parent's
+    CPU for longer than a short scan lasts; started counts the workers."""
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {sorted(cpus)[i % len(cpus)]})
+    os.sched_setaffinity(0, cpus)
 
 
 def scan_curve(
@@ -55,7 +88,9 @@ def scan_curve(
     size = max(1, len(primes) // (8 * workers))
     descending = primes[::-1]
     batches = [descending[i : i + size] for i in range(0, len(primes), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    spread = _spread if hasattr(os, "sched_setaffinity") else None
+    started = multiprocessing.Value("i", 0)
+    with ProcessPoolExecutor(workers, initializer=spread, initargs=(started,)) as pool:
         done = pool.map(_records, [curve] * len(batches), batches)
         return [rec for batch in done for rec in batch][::-1]
 

@@ -6,17 +6,21 @@ from hypothesis import strategies as st
 from frobstat.arith import (
     character_table,
     is_prime,
+    poly_add,
     poly_derivative,
     poly_divmod,
     poly_gcd,
     poly_mul,
     poly_powmod,
+    poly_root,
     poly_sub,
     poly_trim,
+    poly_xgcd,
     sieve_primes,
+    sqrt_mod,
 )
 
-from oracles import chi2_direct, fp2_mul, legendre, poly_add, smallest_nonresidue
+from oracles import chi2_direct, fp2_mul, legendre, smallest_nonresidue
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -189,6 +193,39 @@ def test_derivative_product_rule(p, a, b):
     assert lhs == rhs
 
 
+@given(p=st.sampled_from(SMALL_PRIMES + [10007]), a=coeff_lists, b=coeff_lists)
+@settings(max_examples=150, deadline=None)
+def test_xgcd_is_the_gcd_with_bezout_cofactors(p, a, b):
+    A, B = _poly(p, a), _poly(p, b)
+    g, s, t = poly_xgcd(A, B, p)
+    assert g == poly_gcd(A, B, p)
+    assert poly_add(poly_mul(s, A, p), poly_mul(t, B, p), p) == g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 10007])
+def test_poly_root_finds_a_root_exactly_when_there_is_one(p):
+    for coeffs in ([1, 0, 1], [2, 0, 0, 1], [-1, 0, 0, 0, 1], [6, -11, 6, -1],
+                   [2, 3, -1, 0, 1, 5, 1], [1, 1, 0, 0, 0, 0, 3], [0, 0, 1]):
+        f = _poly(p, coeffs)
+        roots = [x for x in range(min(p, 200)) if not sum(c * x**i for i, c in enumerate(f)) % p]
+        r = poly_root(f, p)
+        if p < 200:
+            assert (r is None) == (not roots), (coeffs, p)
+        if r is not None:
+            assert sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 257, 65537])
+def test_sqrt_mod_inverts_squaring(p):
+    # 13, 17, 41, 97, 257 and 65537 are 1 mod 4 with growing 2-adic parts,
+    # so the Tonelli-Shanks loop runs for several rounds
+    for x in range(min(p, 300)):
+        r = sqrt_mod(x * x, p)
+        assert r * r % p == x * x % p
+    with pytest.raises(ValueError):
+        sqrt_mod(smallest_nonresidue(p), p)
+
+
 def _is_layer_list(a, p):
     return type(a) is list and all(0 <= c < p for c in a) and (not a or a[-1] != 0)
 
@@ -203,8 +240,8 @@ def test_layer_functions_return_trimmed_residue_lists(p, a, b, e):
     # in [0, p) with no trailing zeros, and leave its arguments alone
     A, B = _poly(p, a), _poly(p, b)
     a_copy, b_copy = list(A), list(B)
-    outs = [poly_sub(A, B, p), poly_mul(A, B, p), poly_gcd(A, B, p),
-            poly_derivative(A, p)]
+    outs = [poly_add(A, B, p), poly_sub(A, B, p), poly_mul(A, B, p),
+            poly_gcd(A, B, p), *poly_xgcd(A, B, p), poly_derivative(A, p)]
     if B:
         outs.extend(poly_divmod(A, B, p))
         outs.append(poly_powmod(A, e, B, p))

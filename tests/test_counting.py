@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobstat import counting
-from frobstat.arith import poly_derivative, poly_gcd, sieve_primes
+from frobstat.arith import poly_derivative, poly_gcd, poly_root, sieve_primes
 from frobstat.counting import (
     EXT2_MAX_P,
     BadReductionError,
@@ -15,6 +15,9 @@ from frobstat.counting import (
     make_curve,
     poly_discriminant,
 )
+from frobstat.lpoly import weil_ok
+from frobstat.scan import record_for_prime
+from frobstat.stats import ScanRecord
 
 # expected counts frozen from a standalone enumerator that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))
@@ -173,15 +176,25 @@ def test_ext2_count_refuses_primes_past_the_int64_bound(monkeypatch):
     assert EXT2_MAX_P == 10**6
     curve = make_curve([1, -1, 0, 0, 0, 1])
 
-    def must_not_run(curve, p):
+    def must_not_run(curve, p, chi):
         raise AssertionError("the O(p^2) count ran")
 
     monkeypatch.setattr(counting, "_count_ext2", must_not_run)
     with pytest.raises(ValueError, match="p < 1000000") as info:
         count_points(curve, 1000003, ext=2)
     assert not isinstance(info.value, BadReductionError)
+    # past the bound a quintic takes the Hasse-Witt path without counting
+    rec = record_for_prime(curve, 1000003)
+    assert weil_ok(rec.p, rec.c1, rec.c2)
+    assert ScanRecord.from_json_dict(rec.to_json_dict()) == rec
+    # a sextic with no root mod p still needs the count, and is refused
+    # after the root test, before any O(p^2) work
+    sextic = make_curve([2, 3, -1, 0, 1, 5, 1])
+    assert poly_root([a % 1000117 for a in sextic.f_coeffs], 1000117) is None
+    with pytest.raises(ValueError, match="p < 1000000"):
+        record_for_prime(sextic, 1000117)
     # the largest prime below the bound still reaches the count
-    monkeypatch.setattr(counting, "_count_ext2", lambda curve, p: p * p + 1)
+    monkeypatch.setattr(counting, "_count_ext2", lambda curve, p, chi: p * p + 1)
     assert count_points(curve, 999983, ext=2) == 999983**2 + 1
 
 

@@ -7,7 +7,10 @@ may move: the scan JSONL of a generic and a CM genus-1 curve and of a
 genus-2 curve, the catalog CSV, the component-group metadata CSV, the
 eigenangle arrays of every group at two seeds, and the CSV of the two side
 experiments (Chebotarev shapes of an S3 cubic and an S4 quartic, and Birch
-moments), recorded before the F_p polynomials became plain lists.
+moments), recorded before the F_p polynomials became plain lists.  The
+genus-2 scans to N = 1024 of a quintic and a sextic, which reach past the
+prime where the scan leaves the F_{p^2} count for the Hasse-Witt matrix,
+were recorded while every prime was still counted over F_{p^2}.
 """
 
 import contextlib
@@ -25,6 +28,8 @@ SCAN_SHA256 = {
     "--f=1,1,0,1 --N 2000": "932e8ca886f6ce5a487e4eec37eafaa3fb2b55587e011152357e07d13c1ebe5a",
     "--f=1,0,0,1 --N 2000": "6a071f30127f1aa307db1cc8b21374a8419c265bab461daf2486494a873f65dc",
     "--f=1,-1,0,0,0,1 --N 300": "ab2a4c4cdac64660a907fe978c2ce931af146085a74144f121179c3877e9b958",
+    "--f=1,-1,0,0,0,1 --N 1024": "925225d3405b1cb5ac06b3137cd39b1f0b8905703d9872d0fddc329dfdb3f257",
+    "--f=2,3,-1,0,1,5,1 --N 1024": "6ff9bb97ed61aba14d102ea5678a2eb0266314c74c6049024b835b6a4228a5aa",
 }
 # stdout of the side experiments with these arguments
 SIDE_SHA256 = {

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -65,7 +66,7 @@ class _InProcessPool:
     seen: list[int] = []
     batches: list[list[int]] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.seen.append(max_workers)
 
     def __enter__(self):
@@ -95,6 +96,19 @@ def test_scan_pool_capped_at_cpu_count(in_process_pool):
     assert in_process_pool.seen or cpus == 1
     assert all(w <= cpus for w in in_process_pool.seen)
     assert threaded == _dump(scan_curve(curve, 600))
+
+
+def test_spread_moves_a_worker_once_and_frees_it_again():
+    # the pool initializer moves the worker, counts it, and must leave the
+    # CPU mask as it found it, so that the kernel may move the worker later
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    before = os.sched_getaffinity(0)
+    started = multiprocessing.Value("i", 0)
+    scan._spread(started)
+    scan._spread(started)
+    assert started.value == 2
+    assert os.sched_getaffinity(0) == before
 
 
 def test_scan_pool_hands_out_largest_primes_first(in_process_pool, monkeypatch):
