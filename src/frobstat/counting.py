@@ -4,13 +4,16 @@ f has integer coefficients and degree 3..6, so the smooth model has genus 1
 or 2.  Counts are affine character sums plus the points at infinity of the
 smooth model: one point for odd deg f, and for even deg f two points when
 the leading coefficient is a square in the field (always true in F_{p^2}).
+
+A genus-2 scan needs the O(p^2) F_{p^2} count only where the Hasse-Witt
+path of hasse_witt does not apply; scan.record_for_prime checks each prime
+once and calls the private counts with one character table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -156,33 +159,32 @@ def _assert_weil(count: int, p: int, ext: int, genus: int) -> None:
         )
 
 
-def count_points(
-    curve: HyperellipticCurve, p: int, ext: int = 1, chi: Optional[np.ndarray] = None
-) -> int:
+def _check_ext2_bound(p: int) -> None:
+    if p >= EXT2_MAX_P:
+        raise ValueError(
+            f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
+        )
+
+
+def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     """Number of points on the smooth model of the curve over F_{p^ext}.
 
     ext is 1 or 2.  Affine points are counted by the quadratic character
     sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly one point.
-    chi, when given, is character_table(p), so that a caller who needs the
-    table too builds it once.  Raises BadReductionError for unusable
-    primes, ValueError for ext = 2 at p >= EXT2_MAX_P, and WeilBoundError
-    if the result falls outside the Hasse-Weil interval (which would be a
-    bug).  The F_p count and the character table form values below p^2 in
-    int64, so they are exact only for p < 3.03e9; their 8p-byte arrays
-    exhaust memory long before that.
+    Raises BadReductionError for unusable primes, ValueError for ext = 2 at
+    p >= EXT2_MAX_P, and WeilBoundError if the result falls outside the
+    Hasse-Weil interval (which would be a bug).  The F_p count and the
+    character table form values below p^2 in int64, so they are exact only
+    for p < 3.03e9; their 8p-byte arrays exhaust memory long before that.
     """
     _check_reduction(curve, p)
-    if ext not in (1, 2):
+    if ext == 1:
+        n = _count_ext1(curve, p, character_table(p))
+    elif ext == 2:
+        _check_ext2_bound(p)
+        n = _count_ext2(curve, p, character_table(p))
+    else:
         raise ValueError(f"ext must be 1 or 2, got {ext}")
-    if ext == 2 and p >= EXT2_MAX_P:
-        raise ValueError(
-            f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
-        )
-    if chi is None:
-        chi = character_table(p)
-    elif len(chi) != p:
-        raise ValueError(f"the character table has {len(chi)} entries, not p={p}")
-    n = _count_ext1(curve, p, chi) if ext == 1 else _count_ext2(curve, p, chi)
     _assert_weil(n, p, ext, curve.genus)
     return n
 

@@ -2,23 +2,32 @@
 one JSONL record per prime, ascending.
 
 Output is byte-identical for identical configs regardless of thread count:
-workers only parallelize the per-prime work.  A prime's cost grows with p,
-so the pool is handed batches of the largest primes first, and the batches
-come back in hand-out order, so the merged list is simply reversed before
-anything is written.
+helper processes only parallelize the per-prime work.  A prime's cost grows
+with p, so they claim the largest primes first, one at a time, from one
+shared counter; the last primes, claimed while the others are still busy,
+are the cheapest.  The records are put back in claim order and reversed
+before anything is written.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import Pipe, Process, Value
 from typing import IO, Iterable, Optional
 
 from .arith import character_table
-from .counting import HyperellipticCurve, count_points, good_primes, make_curve
+from .counting import (
+    HyperellipticCurve,
+    _assert_weil,
+    _check_ext2_bound,
+    _check_reduction,
+    _count_ext1,
+    _count_ext2,
+    good_primes,
+    make_curve,
+)
 from .hasse_witt import hasse_witt_lpoly
 from .lpoly import lpoly_from_counts, normalize, predicted_count
 from .stats import ScanRecord
@@ -36,13 +45,17 @@ class ScanConfig:
 
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
-    """The record of one good prime.  It builds the character table once
-    and hands it to the F_p count and to the genus-2 path it picks: the
-    Hasse-Witt matrix and the Jacobian order from p = HASSE_WITT_MIN_P on,
-    and the F_{p^2} count below that, for a sextic with no root mod p, and
-    where the Jacobian points leave c2 undecided."""
+    """The record of one good prime.  It checks the prime and builds the
+    character table once, for the F_p count and for the genus-2 path it
+    picks: the Hasse-Witt matrix and the Jacobian order from
+    p = HASSE_WITT_MIN_P on, and the F_{p^2} count below that, for a sextic
+    with no root mod p, and where the Jacobian points leave c2 undecided.
+    Raises as count_points does, the p >= EXT2_MAX_P refusal only where the
+    F_{p^2} count would run."""
+    _check_reduction(curve, p)
     chi = character_table(p)
-    n1 = count_points(curve, p, 1, chi)
+    n1 = _count_ext1(curve, p, chi)
+    _assert_weil(n1, p, 1, curve.genus)
     if curve.genus == 1:
         lp, n2 = lpoly_from_counts(1, p, n1), None
     else:
@@ -50,7 +63,9 @@ def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
         if p >= HASSE_WITT_MIN_P:
             lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi)
         if lp is None:
-            n2 = count_points(curve, p, 2, chi)
+            _check_ext2_bound(p)
+            n2 = _count_ext2(curve, p, chi)
+            _assert_weil(n2, p, 2, curve.genus)
             lp = lpoly_from_counts(2, p, n1, n2)
         else:
             n2 = predicted_count(lp, 2)
@@ -58,41 +73,66 @@ def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 
 
-def _records(curve: HyperellipticCurve, primes: list[int]) -> list[ScanRecord]:
-    """Records for primes in the given order: the serial scan, and one
-    batch of the pool's."""
-    return [record_for_prime(curve, p) for p in primes]
+def _claim(curve: HyperellipticCurve, primes: list[int], claimed) -> list:
+    """(index, record) of each prime this process claims from the shared
+    counter, one at a time, until every prime is claimed."""
+    done = []
+    while True:
+        with claimed.get_lock():
+            i = claimed.value
+            claimed.value += 1
+        if i >= len(primes):
+            return done
+        done.append((i, record_for_prime(curve, primes[i])))
 
 
-def _spread(started) -> None:
-    """Pool initializer: move this worker once onto a CPU of its own, then
-    allow every CPU again.  Linux can leave forked workers on the parent's
-    CPU for longer than a short scan lasts; started counts the workers."""
-    with started.get_lock():
-        i = started.value
-        started.value += 1
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {sorted(cpus)[i % len(cpus)]})
-    os.sched_setaffinity(0, cpus)
+def _helper(conn, index, curve, primes, claimed) -> None:
+    """Helper process number index: move once onto a CPU of its own, then
+    allow every CPU again (the kernel can keep forked children on their
+    parent's CPU for longer than a short scan lasts), claim primes, and
+    send back their records or the exception that stopped it."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    try:
+        conn.send(_claim(curve, primes, claimed))
+    except BaseException as exc:
+        conn.send(exc)
 
 
 def scan_curve(
     curve: HyperellipticCurve, n: int, threads: int = 1
 ) -> list[ScanRecord]:
-    """Records for every good prime <= n, ascending.  threads is capped at
-    the CPU count, because the pool forks all its workers at once."""
+    """Records for every good prime <= n, ascending.  threads is the number
+    of helper processes, capped at the CPU count, because they all start
+    at once; this process only waits for their records."""
     primes = good_primes(curve, n)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or len(primes) < 4:
-        return _records(curve, primes)
-    size = max(1, len(primes) // (8 * workers))
+        return [record_for_prime(curve, p) for p in primes]
     descending = primes[::-1]
-    batches = [descending[i : i + size] for i in range(0, len(primes), size)]
-    spread = _spread if hasattr(os, "sched_setaffinity") else None
-    started = multiprocessing.Value("i", 0)
-    with ProcessPoolExecutor(workers, initializer=spread, initargs=(started,)) as pool:
-        done = pool.map(_records, [curve] * len(batches), batches)
-        return [rec for batch in done for rec in batch][::-1]
+    claimed = Value("i", 0)
+    helpers, done = [], []
+    try:
+        for index in range(workers):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_helper, args=(send, index, curve, descending, claimed))
+            proc.start()
+            send.close()
+            helpers.append((proc, recv))
+        for proc, recv in helpers:
+            got = recv.recv()
+            if isinstance(got, BaseException):
+                raise got
+            done.extend(got)
+    finally:
+        # a helper that has sent its records is exiting anyway
+        for proc, _ in helpers:
+            proc.terminate()
+            proc.join()
+    done.sort(key=lambda item: item[0])
+    return [rec for _, rec in done][::-1]
 
 
 def write_records(records: Iterable[ScanRecord], stream: IO[str]) -> None:

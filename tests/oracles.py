@@ -6,6 +6,7 @@ correct versions of quantities the runtime computes another way.
 
 import numpy as np
 
+from frobstat.arith import poly_trim
 from frobstat.laurent import LaurentPoly
 
 
@@ -50,6 +51,17 @@ def chi2_direct(p: int, d: int, x: tuple[int, int]) -> int:
     if y == (p - 1, 0):
         return -1
     raise AssertionError(f"character value {y} not +-1")
+
+
+def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
+    """a + b over F_p, on the package's trimmed residue lists."""
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return poly_trim(out)
 
 
 def singular_count(p: int) -> int:

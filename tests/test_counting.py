@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobstat import counting
+from frobstat import counting, scan
 from frobstat.arith import poly_derivative, poly_gcd, poly_root, sieve_primes
 from frobstat.counting import (
     EXT2_MAX_P,
@@ -180,6 +180,7 @@ def test_ext2_count_refuses_primes_past_the_int64_bound(monkeypatch):
         raise AssertionError("the O(p^2) count ran")
 
     monkeypatch.setattr(counting, "_count_ext2", must_not_run)
+    monkeypatch.setattr(scan, "_count_ext2", must_not_run)
     with pytest.raises(ValueError, match="p < 1000000") as info:
         count_points(curve, 1000003, ext=2)
     assert not isinstance(info.value, BadReductionError)

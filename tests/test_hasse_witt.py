@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frobstat import counting, hasse_witt, scan
-from frobstat.arith import character_table, poly_mul, poly_root, sieve_primes
+from frobstat import arith, counting, hasse_witt, scan
+from frobstat.arith import character_table, is_prime, poly_mul, poly_root, sieve_primes
 from frobstat.counting import BadReductionError, count_points, make_curve
 from frobstat.hasse_witt import (
     cantor_add,
@@ -189,7 +189,7 @@ def test_unresolved_candidates_fall_back_to_the_count(monkeypatch):
         return ext2(curve, p, chi)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_points", lambda F, chi, p: iter(()))
-    monkeypatch.setattr(counting, "_count_ext2", spy)
+    monkeypatch.setattr(scan, "_count_ext2", spy)
     assert hasse_witt_lpoly(curve.f_coeffs, p, expected.c1, character_table(p)) is None
     assert record_for_prime(curve, p) == expected
     assert counted == [p]
@@ -215,15 +215,32 @@ def test_rootless_sextic_goes_straight_to_the_count(monkeypatch):
     ([2, 3, -1, 0, 1, 5, 1], [211, 223, 1019]),  # sextic with and without a root
 ])
 def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
-    built = []
+    # one reduction check and one table per prime, so trial division runs
+    # twice: in the check and in the table's own prime test
+    built, checked, trial = [], [], []
 
     def counted_table(p):
         built.append(p)
         return character_table(p)
 
+    def counted_check(curve, p):
+        checked.append(p)
+        return check(curve, p)
+
+    def counted_is_prime(n):
+        trial.append(n)
+        return is_prime(n)
+
+    check = counting._check_reduction
     monkeypatch.setattr(scan, "character_table", counted_table)
     monkeypatch.setattr(counting, "character_table", counted_table)
+    monkeypatch.setattr(scan, "_check_reduction", counted_check)
+    monkeypatch.setattr(counting, "_check_reduction", counted_check)
+    monkeypatch.setattr(arith, "is_prime", counted_is_prime)
+    monkeypatch.setattr(counting, "is_prime", counted_is_prime)
     curve = make_curve(f_coeffs)
     for p in primes:
         record_for_prime(curve, p)
     assert built == primes
+    assert checked == primes
+    assert trial == [p for p in primes for _ in range(2)]

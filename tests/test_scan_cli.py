@@ -59,69 +59,97 @@ def test_scan_bytes_identical_across_threads():
         assert _dump(scan_curve(curve, 600, threads=threads)) == base
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each
-    task's primes, runs the map in this process, and starts no process."""
+class _InProcessHelper:
+    """Stands in for multiprocessing.Process: counts the helpers started and
+    runs each in this process as it starts, so the first one claims every
+    prime and the others find none left.  Each sends its records before
+    anyone reads them, so the scans here stay well inside a pipe's buffer."""
 
-    seen: list[int] = []
-    batches: list[list[int]] = []
+    started = 0
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.seen.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        type(self).started += 1
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self):
+        pass
 
-    def map(self, fn, *iterables):
-        curves, batches = iterables
-        self.batches.extend(batches)
-        return map(fn, curves, batches)
+    def join(self):
+        pass
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "seen", [])
-    monkeypatch.setattr(_InProcessPool, "batches", [])
-    return _InProcessPool
+def in_process_helpers(monkeypatch):
+    monkeypatch.setattr(scan, "Process", _InProcessHelper)
+    monkeypatch.setattr(_InProcessHelper, "started", 0)
+    claimed = []
+    record = scan.record_for_prime
+
+    def recording(curve, p):
+        claimed.append(p)
+        return record(curve, p)
+
+    monkeypatch.setattr(scan, "record_for_prime", recording)
+    return _InProcessHelper, claimed
 
 
-def test_scan_pool_capped_at_cpu_count(in_process_pool):
+def test_scan_pool_capped_at_cpu_count(in_process_helpers):
+    helpers, _ = in_process_helpers
     curve = make_curve(E1)
     threaded = _dump(scan_curve(curve, 600, threads=10**6))
     cpus = os.cpu_count() or 1
-    assert in_process_pool.seen or cpus == 1
-    assert all(w <= cpus for w in in_process_pool.seen)
+    assert helpers.started or cpus == 1
+    assert helpers.started <= cpus
     assert threaded == _dump(scan_curve(curve, 600))
 
 
-def test_spread_moves_a_worker_once_and_frees_it_again():
-    # the pool initializer moves the worker, counts it, and must leave the
-    # CPU mask as it found it, so that the kernel may move the worker later
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no CPU affinity on this platform")
-    before = os.sched_getaffinity(0)
-    started = multiprocessing.Value("i", 0)
-    scan._spread(started)
-    scan._spread(started)
-    assert started.value == 2
-    assert os.sched_getaffinity(0) == before
+def test_helper_leaves_the_cpu_mask_as_it_found_it():
+    # the helper moves onto its own CPU once, then must allow every CPU
+    # again, so that the kernel may move it later; it claims every prime
+    # left and sends their records back
+    curve = make_curve(E1)
+    primes = good_primes(curve, 300)[::-1]
+    claimed = multiprocessing.Value("i", 2)
+    recv, send = multiprocessing.Pipe(duplex=False)
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    scan._helper(send, 1, curve, primes, claimed)
+    if before is not None:
+        assert os.sched_getaffinity(0) == before
+    got = recv.recv()
+    assert [i for i, _ in got] == list(range(2, len(primes)))
+    assert [r for _, r in got] == [record_for_prime(curve, p) for p in primes[2:]]
 
 
-def test_scan_pool_hands_out_largest_primes_first(in_process_pool, monkeypatch):
+def test_helper_errors_reach_the_caller(monkeypatch):
+    # a helper sends the error that stopped it instead of records, and
+    # scan_curve raises it in this process
+    def fail(curve, p):
+        raise ValueError(f"no record at p={p}")
+
+    monkeypatch.setattr(scan, "record_for_prime", fail)
+    curve = make_curve(E1)
+    recv, send = multiprocessing.Pipe(duplex=False)
+    scan._helper(send, 0, curve, [7, 5], multiprocessing.Value("i", 0))
+    got = recv.recv()
+    assert isinstance(got, ValueError) and str(got) == "no record at p=7"
+    if multiprocessing.get_start_method() == "fork":
+        # forked helpers see the patch too
+        with pytest.raises(ValueError, match="no record at p="):
+            scan_curve(curve, 600, threads=2)
+
+
+def test_scan_pool_hands_out_largest_primes_first(in_process_helpers, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    helpers, claimed = in_process_helpers
     curve = make_curve(E1)
     threaded = _dump(scan_curve(curve, 600, threads=3))
-    assert in_process_pool.seen == [3]
-    batches = in_process_pool.batches
+    assert helpers.started == 3
     primes = good_primes(curve, 600)
-    assert len(batches) > 3
-    assert [p for b in batches for p in b] == primes[::-1]
-    firsts = [b[0] for b in batches]
-    assert firsts == sorted(firsts, reverse=True)
+    assert len(claimed) > 3
+    assert claimed == primes[::-1]
     assert threaded == _dump(scan_curve(curve, 600))
 
 
