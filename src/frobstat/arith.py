@@ -151,51 +151,3 @@ def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 def poly_derivative(a: list[int], p: int) -> list[int]:
     return poly_trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def poly_root(f: list[int], p: int) -> int | None:
-    """A root of f in F_p, or None when f has none; deg f >= 1.
-
-    gcd(x^p - x, f) is the product of the distinct linear factors of f.
-    While it has more than one, gcd((x + a)^((p-1)/2) - 1, g) for
-    a = 0, 1, 2, ... keeps the roots r with r + a a nonzero square, and
-    the smaller side of the first proper split replaces g.
-    """
-    x = [0, 1]
-    g = poly_gcd(f, poly_sub(poly_powmod(x, p, f, p), x, p), p)
-    if len(g) < 2:
-        return None
-    a = 0
-    while len(g) > 2:
-        h = poly_gcd(g, poly_sub(poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            rest = poly_divmod(g, h, p)[0]
-            g = h if len(h) <= len(rest) else rest
-        a += 1
-    return -g[0] % p
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of the square a mod an odd prime p (Tonelli-Shanks,
-    with the smallest nonresidue as the generator); ValueError when a is
-    not a square."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (s - i - 1), p)
-        r, c, s = r * b % p, b * b % p, i
-        t = t * c % p
-    return r

@@ -52,6 +52,13 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad coefficient list {text!r}: {e}") from None
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}: zero denominator") from None
+
+
 def _open_out(args):
     if args.out:
         return open(args.out, "w", newline="")
@@ -106,7 +113,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_density(args) -> int:
     records = _load_records(args)
-    d = empirical_density(records, args.stat, Fraction(args.value))
+    d = empirical_density(records, args.stat, _parse_rational(args.value))
     _emit(
         args,
         ["statistic", "value", "hits", "n", "frequency"],

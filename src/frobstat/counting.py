@@ -7,7 +7,8 @@ the leading coefficient is a square in the field (always true in F_{p^2}).
 
 A genus-2 scan needs the O(p^2) F_{p^2} count only where the Hasse-Witt
 path of hasse_witt does not apply; scan.record_for_prime checks each prime
-once and calls the private counts with one character table.
+once and hands one character table and one array of the values of f mod p
+to the private counts and to that path.
 """
 
 from __future__ import annotations
@@ -179,12 +180,13 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     """
     _check_reduction(curve, p)
     if ext == 1:
-        n = _count_ext1(curve, p, character_table(p))
+        count = _count_ext1
     elif ext == 2:
         _check_ext2_bound(p)
-        n = _count_ext2(curve, p, character_table(p))
+        count = _count_ext2
     else:
         raise ValueError(f"ext must be 1 or 2, got {ext}")
+    n = count(curve, p, character_table(p), _values_mod_p([a % p for a in curve.f_coeffs], p))
     _assert_weil(n, p, ext, curve.genus)
     return n
 
@@ -198,8 +200,8 @@ def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
     return acc
 
 
-def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
-    values = _values_mod_p([a % p for a in curve.f_coeffs], p)
+def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.ndarray) -> int:
+    """Count over F_p from chi and values = f mod p at every x in F_p."""
     affine = p + int(chi[values].sum())
     if curve.degree % 2 == 1:
         inf = 1
@@ -208,8 +210,8 @@ def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
     return affine + inf
 
 
-def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
-    """Count over F_{p^2} = F_p[t]/(t^2 - d).
+def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.ndarray) -> int:
+    """Count over F_{p^2} = F_p[t]/(t^2 - d); chi and values as for _count_ext1.
 
     Evaluates f by Horner directly in the extension and tests squareness via
     chi_p(Norm).  Conjugate elements a + bt and a - bt give equal character
@@ -220,8 +222,7 @@ def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
     coeffs = [a % p for a in curve.f_coeffs]
 
     # b = 0 row: x in F_p, f(x) in F_p, chi2 = 1 unless f(x) = 0
-    zeros_in_fp = int((_values_mod_p(coeffs, p) == 0).sum())
-    char_sum = p - zeros_in_fp
+    char_sum = p - int((values == 0).sum())
 
     a_row = np.arange(p, dtype=np.int64)[None, :]
     for b0 in range(1, (p - 1) // 2 + 1, _EXT2_CHUNK):

@@ -10,9 +10,11 @@ Jacobian, tested by Cantor's algorithm on a monic quintic model
 ANTS VIII, 2008).  This costs O(p) operations on Python integers against
 the O(p^2) of counting over F_{p^2}.
 
-A monic quintic model exists for every quintic, and for a sextic with a
-root mod p; a sextic without one is left to the F_{p^2} count.  So are the
-rare primes where the Jacobian points leave more than one candidate.
+The path holds at every odd good prime.  A monic quintic model exists for
+every quintic, and for a sextic with a root mod p, read from the values of
+f that the F_p count evaluates; a sextic without one is left to the F_{p^2}
+count.  So are the rare primes where the Jacobian points leave more than
+one candidate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import poly_add, poly_divmod, poly_mul, poly_root, poly_sub, poly_xgcd, sqrt_mod
+from .arith import poly_add, poly_divmod, poly_mul, poly_sub, poly_xgcd
 from .lpoly import LPoly, LPolyValidationError, weil_ok
 
 # points of the Jacobian tried before the candidates go back to the count
@@ -71,23 +73,22 @@ def _power_coeffs(h: list[int], n: int, m: int, inv: list[int], p: int) -> list[
 
 def hasse_witt(f: list[int], p: int) -> tuple[int, int]:
     """(tr W, det W) mod p for y^2 = f(x), f of degree 5 or 6 given as
-    residues mod p.
+    residues mod p and squarefree mod p.
 
     W_11 and W_12 come from f^((p-1)/2) directly.  W_21 and W_22 sit above
     x^p, so they are read from the reversed polynomial, whose power holds
     the coefficient of x^m at d(p-1)/2 - m, below p.  The recurrence needs
-    f(0) != 0; when f(0) = 0 the curve is moved to x + a, which conjugates
-    W and keeps its trace and determinant.
+    a nonzero constant term: when f(0) = 0, f = x h with h(0) != 0, and the
+    coefficient of x^m in f^n is the coefficient of x^(m-n) in h^n.
     """
-    if f[0] == 0:
-        a = next(a for a in range(1, p) if sum(c * pow(a, i, p) for i, c in enumerate(f)) % p)
-        f = _shift(f, a, p)
     d, n = len(f) - 1, (p - 1) // 2
+    lift = n if f[0] == 0 else 0  # f^n = x^lift h^n
+    h = f[1:] if lift else f
     top = d * n - 2 * p + 2  # index of W_22 in the reversed power
     inv = _inverses(p)
-    low = _power_coeffs(f, n, p - 1, inv, p)
+    low = [0] * lift + _power_coeffs(h, n, p - 1 - lift, inv, p)
     high = _power_coeffs(f[::-1], n, top, inv, p)
-    s, t = pow(f[0], n, p), pow(f[-1], n, p)
+    s, t = pow(h[0], n, p), pow(f[-1], n, p)
     w11, w12, w21, w22 = s * low[p - 1], s * low[p - 2], t * high[top - 1], t * high[top]
     return (w11 + w22) % p, (w11 * w22 - w12 * w21) % p
 
@@ -216,14 +217,18 @@ def cantor_mul(n: int, d, F: list[int], p: int):
 
 def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
     """Divisors (x - x0, y0) for x0 = 0, 1, 2, ... with F(x0) a square,
-    at most JACOBIAN_POINTS of them."""
+    at most JACOBIAN_POINTS of them; y0 is read from a table of square
+    roots, root[a^2 mod p] = a for 0 <= a <= (p-1)/2."""
+    half = np.arange((p + 1) // 2, dtype=np.int64)
+    root = np.zeros(p, dtype=np.int64)
+    root[half * half % p] = half
     found = 0
     for x0 in range(p):
         value = 0
         for c in reversed(F):
             value = (value * x0 + c) % p
         if chi[value] >= 0:
-            y0 = sqrt_mod(value, p)
+            y0 = int(root[value])
             yield [-x0 % p, 1], [y0] if y0 else []
             found += 1
             if found == JACOBIAN_POINTS:
@@ -253,20 +258,19 @@ def _jacobian_survivors(F, c1: int, candidates: list[int], chi, p: int) -> list[
 
 
 def hasse_witt_lpoly(
-    f_coeffs: tuple[int, ...], p: int, c1: int, chi: np.ndarray
+    f_coeffs: tuple[int, ...], p: int, c1: int, chi: np.ndarray, values: np.ndarray
 ) -> Optional[LPoly]:
-    """The genus-2 L-polynomial at a good prime p, given c1 from the F_p
-    count and the character table chi of p; None when a sextic has no root
-    mod p or the Jacobian points leave more than one c2, so the caller has
-    to count over F_{p^2}.  LPolyValidationError when W contradicts c1
-    or no candidate survives, which would be a bug.
+    """The genus-2 L-polynomial at an odd good prime p, given c1 from the
+    F_p count, the character table chi and values = f mod p at every x in
+    F_p; None when a sextic has no root mod p or the Jacobian points leave
+    more than one c2, so the caller has to count over F_{p^2}.
+    LPolyValidationError when W contradicts c1 or no candidate survives,
+    which would be a bug.
     """
     f = [a % p for a in f_coeffs]
-    root = None
-    if len(f) == 7:
-        root = poly_root(f, p)
-        if root is None:
-            return None
+    root = int(np.argmin(values))  # the first x with f(x) = 0, if any
+    if len(f) == 7 and values[root]:
+        return None
     trace, det = hasse_witt(f, p)
     if (c1 + trace) % p:
         raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")

@@ -25,15 +25,13 @@ from .counting import (
     _check_reduction,
     _count_ext1,
     _count_ext2,
+    _values_mod_p,
     good_primes,
     make_curve,
 )
 from .hasse_witt import hasse_witt_lpoly
 from .lpoly import lpoly_from_counts, normalize, predicted_count
 from .stats import ScanRecord
-
-# the F_{p^2} count is the cheaper genus-2 path below this prime
-HASSE_WITT_MIN_P = 150
 
 
 @dataclass(frozen=True)
@@ -45,26 +43,25 @@ class ScanConfig:
 
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
-    """The record of one good prime.  It checks the prime and builds the
-    character table once, for the F_p count and for the genus-2 path it
-    picks: the Hasse-Witt matrix and the Jacobian order from
-    p = HASSE_WITT_MIN_P on, and the F_{p^2} count below that, for a sextic
-    with no root mod p, and where the Jacobian points leave c2 undecided.
-    Raises as count_points does, the p >= EXT2_MAX_P refusal only where the
-    F_{p^2} count would run."""
+    """The record of one good prime.  It checks the prime, builds the
+    character table and evaluates f mod p at every x in F_p once, for the
+    F_p count and for the genus-2 path: the Hasse-Witt matrix and the
+    Jacobian order, and the F_{p^2} count for a sextic with no root mod p
+    and where the Jacobian points leave c2 undecided.  Raises as
+    count_points does, the p >= EXT2_MAX_P refusal only where the F_{p^2}
+    count would run."""
     _check_reduction(curve, p)
     chi = character_table(p)
-    n1 = _count_ext1(curve, p, chi)
+    values = _values_mod_p([a % p for a in curve.f_coeffs], p)
+    n1 = _count_ext1(curve, p, chi, values)
     _assert_weil(n1, p, 1, curve.genus)
     if curve.genus == 1:
         lp, n2 = lpoly_from_counts(1, p, n1), None
     else:
-        lp = None
-        if p >= HASSE_WITT_MIN_P:
-            lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi)
+        lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
         if lp is None:
             _check_ext2_bound(p)
-            n2 = _count_ext2(curve, p, chi)
+            n2 = _count_ext2(curve, p, chi, values)
             _assert_weil(n2, p, 2, curve.genus)
             lp = lpoly_from_counts(2, p, n1, n2)
         else:

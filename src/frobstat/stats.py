@@ -189,11 +189,12 @@ def histogram(
     values: Iterable[float], bins: int, lo: float, hi: float
 ) -> HistogramResult:
     """Fixed-range histogram; out-of-range values are clamped into the end
-    bins and counted in `clamped` so nothing is silently dropped."""
-    if bins < 1 or not hi > lo:
-        raise ValueError("need bins >= 1 and hi > lo")
+    bins and counted in `clamped` so nothing is silently dropped.  Edges
+    and densities must be finite floats; a density is at most 1 / width."""
+    width = (hi - lo) / bins if bins >= 1 else 0.0
+    if not (math.isfinite(lo) and 0.0 < width < math.inf and 1.0 / width < math.inf):
+        raise ValueError("need bins >= 1 and finite lo < hi")
     counts = [0] * bins
-    width = (hi - lo) / bins
     n = 0
     clamped = 0
     for v in values:

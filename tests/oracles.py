@@ -53,6 +53,18 @@ def chi2_direct(p: int, d: int, x: tuple[int, int]) -> int:
     raise AssertionError(f"character value {y} not +-1")
 
 
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """The roots in F_p of the integer polynomial f, ascending, from
+    sum f_i x^i evaluated at every x with a running power of x."""
+    x = np.arange(p, dtype=np.int64)
+    power = np.ones(p, dtype=np.int64)
+    total = np.zeros(p, dtype=np.int64)
+    for c in coeffs:
+        total = (total + c % p * power) % p
+        power = power * x % p
+    return [int(r) for r in np.flatnonzero(total == 0)]
+
+
 def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
     """a + b over F_p, on the package's trimmed residue lists."""
     n = max(len(a), len(b))

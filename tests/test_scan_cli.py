@@ -316,7 +316,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["moments", "--in", str(empty)]) == 2
     # options a subcommand does not use are rejected
     assert cli.main(["moments", "--in", str(tmp_path / "missing.jsonl"), "--seed", "1"]) == 2
-    capsys.readouterr()
+    # a rational with a zero denominator, and an infinite histogram range
+    g1 = tmp_path / "g1.jsonl"
+    g1.write_text(json.dumps({"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}) + "\n")
+    assert cli.main(["density", "--in", str(g1), "--value", "1/0"]) == 2
+    assert cli.main(["hist", "--in", str(g1), "--lo", "0", "--hi", "inf"]) == 2
+    assert "nan" not in capsys.readouterr().out
 
 
 GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0.0}

@@ -110,6 +110,12 @@ def test_histogram_counts_and_clamping():
         histogram([1.0], bins=0, lo=0, hi=1)
     with pytest.raises(ValueError):
         histogram([1.0], bins=4, lo=1, hi=1)
+    # infinite or NaN edges, or a width past the float range either way,
+    # would print nan and inf edges or densities
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308),
+                   (0.0, 1e-310)):
+        with pytest.raises(ValueError):
+            histogram([1.0], bins=4, lo=lo, hi=hi)
 
 
 def _theoretical_table(gid, genus):
