@@ -10,7 +10,10 @@ experiments (Chebotarev shapes of an S3 cubic and an S4 quartic, and Birch
 moments), recorded before the F_p polynomials became plain lists.  The
 genus-2 scans to N = 1024 of a quintic and a sextic, which reach past the
 prime where the scan leaves the F_{p^2} count for the Hasse-Witt matrix,
-were recorded while every prime was still counted over F_{p^2}.
+were recorded while every prime was still counted over F_{p^2}.  The
+sextic 2x^6 - 2x^5 - x^4 + 3x^3 - x^2 - x + 3 to N = 1024, whose leading
+coefficient is a square mod some primes and not mod others, was recorded
+while its primes without a root mod p were still counted over F_{p^2}.
 """
 
 import contextlib
@@ -30,6 +33,7 @@ SCAN_SHA256 = {
     "--f=1,-1,0,0,0,1 --N 300": "ab2a4c4cdac64660a907fe978c2ce931af146085a74144f121179c3877e9b958",
     "--f=1,-1,0,0,0,1 --N 1024": "925225d3405b1cb5ac06b3137cd39b1f0b8905703d9872d0fddc329dfdb3f257",
     "--f=2,3,-1,0,1,5,1 --N 1024": "6ff9bb97ed61aba14d102ea5678a2eb0266314c74c6049024b835b6a4228a5aa",
+    "--f=3,-1,-1,3,-1,-2,2 --N 1024": "faec9fcd9040a7e4d2eb6622348c6dd7aca313087f05fea20a32e7168eab4eda",
 }
 # stdout of the side experiments with these arguments
 SIDE_SHA256 = {
