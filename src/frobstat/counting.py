@@ -5,10 +5,12 @@ or 2.  Counts are affine character sums plus the points at infinity of the
 smooth model: one point for odd deg f, and for even deg f two points when
 the leading coefficient is a square in the field (always true in F_{p^2}).
 
-A genus-2 scan needs the O(p^2) F_{p^2} count only where the Hasse-Witt
-path of hasse_witt does not apply; scan.record_for_prime checks each prime
-once and hands one character table and one array of the values of f mod p
-to the private counts and to that path.
+A genus-2 scan needs the O(p^2) F_{p^2} count only where the Jacobian
+points of the Hasse-Witt path of hasse_witt leave c2 undecided, as for
+x^5 - x at p = 3 and 5, where every point of F_p has y = 0;
+scan.record_for_prime checks each prime once and hands one character
+table and one array of the values of f mod p to the private counts and to
+that path.
 """
 
 from __future__ import annotations

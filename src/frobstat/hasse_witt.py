@@ -5,16 +5,19 @@ exactly.  The Hasse-Witt matrix W (W_ij is the coefficient of x^(ip-j) in
 f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin), and the Weil
 conditions leave a handful of integers c2 = det W + kp.  When more than one
 is left, the right one is the c2 whose #J(F_p) = P(1) kills points of the
-Jacobian, tested by Cantor's algorithm on a monic quintic model
+Jacobian, tested by Cantor's algorithm on a monic model
 (Kedlaya-Sutherland, "Computing L-series of hyperelliptic curves",
 ANTS VIII, 2008).  This costs O(p) operations on Python integers against
 the O(p^2) of counting over F_{p^2}.
 
-The path holds at every odd good prime.  A monic quintic model exists for
-every quintic, and for a sextic with a root mod p, read from the values of
-f that the F_p count evaluates; a sextic without one is left to the F_{p^2}
-count.  So are the rare primes where the Jacobian points leave more than
-one candidate.
+The path holds at every odd good prime.  The model is a quintic for every
+quintic and for a sextic with a root mod p, read from the values of f that
+the F_p count evaluates.  A sextic without one keeps a real model of
+degree 6, whose divisor classes are balanced divisors
+(Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic arithmetic
+using balanced representation for divisors", ANTS VIII, 2008).  Only the
+rare primes where the Jacobian points leave more than one candidate go
+back to the F_{p^2} count.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from .lpoly import LPoly, LPolyValidationError, weil_ok
 # points of the Jacobian tried before the candidates go back to the count
 JACOBIAN_POINTS = 4
 
-# the neutral divisor in Mumford form (u, v) = (1, 0)
+# the neutral divisor in Mumford form (u, v) = (1, 0), and on a real model
+# the balanced inf+ + inf- - (inf+ + inf-)
 _NEUTRAL = ([1], [])
+_REAL_NEUTRAL = ([1], [], 1)
 
 
 def _shift(f: list[int], a: int, p: int) -> list[int]:
@@ -93,22 +98,47 @@ def hasse_witt(f: list[int], p: int) -> tuple[int, int]:
     return (w11 + w22) % p, (w11 * w22 - w12 * w21) % p
 
 
-def monic_quintic_model(f: list[int], p: int, root: Optional[int]) -> list[int]:
-    """A monic quintic F with y^2 = F(x) isomorphic over F_p to y^2 = f(x).
+def monic_model(f: list[int], p: int, chi: np.ndarray, values: np.ndarray) -> Optional[list[int]]:
+    """A monic F with y^2 = F(x) isomorphic over F_p to y^2 = f(x), given
+    the character table chi and values = f mod p at every x in F_p; None
+    when f is a sextic and the curve has no F_p-point at all.
 
-    A sextic needs a root r of f mod p: t = 1/(x - r) turns it into the
-    quintic t^6 f(r + 1/t).  A quintic with leading coefficient c becomes
-    monic under x = X/c, Y = c^2 y, with coefficients f_i c^(4-i).
+    F is a quintic for a quintic f and for a sextic with a root r mod p,
+    the first x where values vanishes: t = 1/(x - r) turns the sextic into
+    the quintic t^6 f(r + 1/t).  A quintic with leading coefficient c
+    becomes monic under x = X/c, Y = c^2 y, with coefficients f_i c^(4-i).
+
+    A sextic with no root mod p keeps degree 6, a real model with two
+    points at infinity.  When its leading coefficient c is a square,
+    Y = y / sqrt(c) gives F = f / c.  When it is not, the points (x0, +-y0)
+    for the first x0 where f(x0) is a square go to infinity first:
+    t^6 f(x0 + 1/t) has leading coefficient f(x0).
     """
     if len(f) == 7:
+        root = int(np.argmin(values))
+        if values[root]:
+            if chi[f[-1]] != 1:
+                x0 = int(np.argmax(chi[values] == 1))
+                if chi[values[x0]] != 1:
+                    return None
+                f = _shift(f, x0, p)[::-1]
+            inv = pow(f[-1], p - 2, p)
+            return [c * inv % p for c in f]
         f = _shift(f, root, p)[:0:-1]
     c = f[-1]
     return [a * pow(c, 4 - i, p) % p for i, a in enumerate(f[:-1])] + [1]
 
 
 # ---------------------------------------------------------------------------
-# Cantor's algorithm on y^2 = F(x), F monic of degree 5: a divisor class is
-# (u, v) with u monic of degree <= 2, deg v < deg u and u | F - v^2
+# Cantor's algorithm on y^2 = F(x).  For F monic of degree 5 a divisor class
+# is (u, v) with u monic of degree <= 2, deg v < deg u and u | F - v^2, the
+# class of div(u, v) - (deg u) inf.  For F monic of degree 6 it is (u, v, n)
+# with (u, v) as before and 0 <= n <= 2 - deg u, the class of the balanced
+# divisor div(u, v) + n inf+ + (2 - deg u - n) inf- - (inf+ + inf-)
+# (Galbraith-Harrison-Mireles Morales, ANTS VIII, 2008); inf+ is the point
+# at infinity where y - V vanishes, for V the polynomial part of sqrt(F).
+# Either form is unique to its class, so a class is neutral exactly when it
+# equals _NEUTRAL or _REAL_NEUTRAL.
 
 def _div_linear(w1: int, w0: int, r1: int, r0: int, b1: int, b0: int, p: int):
     """(s1, s0) with s1 x + s0 = (w1 x + w0) / (r1 x + r0) mod
@@ -122,39 +152,49 @@ def _div_linear(w1: int, w0: int, r1: int, r0: int, b1: int, b0: int, p: int):
 
 
 def _add_weight_two(d1, d2, F: list[int], p: int):
-    """d1 + d2 for deg u1 = deg u2 = 2 in the generic case, by explicit
-    formulas; None when u1, u2 (or u1, v1 when doubling) share a root or
-    the sum has degree below 2, which the general steps handle.
+    """(u, v) of d1 + d2 for deg u1 = deg u2 = 2 in the generic case, by
+    explicit formulas, on a quintic or a real model; None when u1, u2 (or
+    u1, v1 when doubling) share a root or the sum does not have degree 2,
+    which the general steps handle.
 
-    With V = v1 + u1 s, where s = (v2 - v1) / u1 mod u2 (for a sum) or
+    With s = (v2 - v1) / u1 mod u2 (for a sum) or
     s = ((F - v1^2) / u1) / (2 v1) mod u1 (for a double), the reduced sum
-    is u = ((F - v1^2)/u1 - 2 s v1 - s^2 u1) / u2 made monic and v = -V
-    mod u.
+    is u = ((F - v1^2)/u1 - 2 s v1 - s^2 u1) / u2 made monic and
+    v = -(v1 + u1 s) mod u.  On a real model the sum of two classes with
+    n = 0 keeps n = 0 when s1 != -1, as y - (v1 + u1 s) then has a pole of
+    order 3 at inf-.
     """
-    (u1, v1), (u2, v2) = d1, d2
+    (u1, v1), (u2, v2) = d1[:2], d2[:2]
     a0, a1 = u1[0], u1[1]
     c0, c1 = (v1 + [0, 0])[:2]
-    q2 = F[4] - a1  # (F - v1^2)/u1 = x^3 + q2 x^2 + q1 x + q0
+    top = F[6] if len(F) == 7 else 0
+    # (F - v1^2)/u1 = top x^4 + q3 x^3 + q2 x^2 + q1 x + q0
+    q3 = F[5] - a1 * top
+    q2 = F[4] - a1 * q3 - a0 * top
     if d1 == d2:
         b0, b1 = a0, a1
-        q1 = F[3] - a1 * q2 - a0
+        q1 = F[3] - a1 * q2 - a0 * q3
         q0 = F[2] - c1 * c1 - a1 * q1 - a0 * q2
-        m = q2 - a1
-        s = _div_linear(q1 - a0 - m * a1, q0 - m * a0, 2 * c1, 2 * c0, a1, a0, p)
+        # its remainder mod u1 is (q1 - a0 h3 - a1 h2) x + q0 - a0 h2
+        h3 = q3 - a1 * top
+        h2 = q2 - a0 * top - a1 * h3
+        s = _div_linear(q1 - a0 * h3 - a1 * h2, q0 - a0 * h2, 2 * c1, 2 * c0, a1, a0, p)
     else:
         b0, b1 = u2[0], u2[1]
         e0, e1 = (v2 + [0, 0])[:2]
         s = _div_linear(e1 - c1, e0 - c0, a1 - b1, a0 - b0, b1, b0, p)
-    if s is None or s[0] == 0:
+    if s is None:
         return None
     s1, s0 = s
-    t2 = -s1 * s1
-    t1 = 1 - s1 * s1 * a1 - 2 * s1 * s0 - b1 * t2
+    t2 = (top - s1 * s1) % p
+    if not t2:
+        return None
+    t1 = q3 - s1 * s1 * a1 - 2 * s1 * s0 - b1 * t2
     t0 = q2 - s1 * s1 * a0 - 2 * s1 * s0 * a1 - s0 * s0 - 2 * s1 * c1 - b1 * t1 - b0 * t2
     inv = pow(t2, -1, p)
     w1, w0 = t1 * inv % p, t0 * inv % p
-    # -V mod x^2 + w1 x + w0, for
-    # V = s1 x^3 + (s0 + s1 a1) x^2 + (s1 a0 + s0 a1 + c1) x + s0 a0 + c0
+    # -(v1 + u1 s) mod x^2 + w1 x + w0, for v1 + u1 s =
+    # s1 x^3 + (s0 + s1 a1) x^2 + (s1 a0 + s0 a1 + c1) x + s0 a0 + c0
     m = s0 + s1 * a1 - s1 * w1
     r1 = (s1 * w0 + m * w1 - s1 * a0 - s0 * a1 - c1) % p
     r0 = (m * w0 - s0 * a0 - c0) % p
@@ -162,22 +202,26 @@ def _add_weight_two(d1, d2, F: list[int], p: int):
 
 
 def cantor_add(d1, d2, F: list[int], p: int):
-    """The reduced sum of two divisor classes in Mumford form."""
-    (u1, v1), (u2, v2) = d1, d2
-    if u1 == [1]:
-        return d2
-    if u2 == [1]:
-        return d1
-    if len(u1) == len(u2) == 3:
+    """The reduced sum of two divisor classes, on a quintic or a real
+    model."""
+    if len(d1[0]) == len(d2[0]) == 3:
         total = _add_weight_two(d1, d2, F, p)
         if total is not None:
-            return total
+            return total + (0,) if len(F) == 7 else total
+    if len(F) == 7:
+        return _real_add(d1, d2, F, p)
+    if d1[0] == [1]:
+        return d2
+    if d2[0] == [1]:
+        return d1
     return _cantor(d1, d2, F, p)
 
 
-def _cantor(d1, d2, F: list[int], p: int):
-    """Cantor's composition and reduction, for every case."""
-    (u1, v1), (u2, v2) = d1, d2
+def _compose(d1, d2, F: list[int], p: int):
+    """Cantor's composition: the semi-reduced (u, v) of div(u1, v1) +
+    div(u2, v2), u monic and deg v < deg u, and the number of pairs
+    P + iota(P) it took out, the degree of the gcd that removed them."""
+    (u1, v1), (u2, v2) = d1[:2], d2[:2]
     d0, e1, e2 = poly_xgcd(u1, u2, p)
     if d0 == [1]:
         d, s1, s2, s3 = d0, e1, e2, []
@@ -193,12 +237,68 @@ def _cantor(d1, d2, F: list[int], p: int):
     if d != [1]:
         u = poly_divmod(u, poly_mul(d, d, p), p)[0]
         num = poly_divmod(num, d, p)[0]
-    v = poly_divmod(num, u, p)[1]
+    return u, poly_divmod(num, u, p)[1], len(d) - 1
+
+
+def _cantor(d1, d2, F: list[int], p: int):
+    """Cantor's composition and reduction on a quintic model, for every
+    case."""
+    u, v, _ = _compose(d1, d2, F, p)
     while len(u) > 3:
         u = poly_divmod(poly_sub(F, poly_mul(v, v, p), p), u, p)[0]
         v = poly_divmod(poly_sub([], v, p), u, p)[1]
     inv = pow(u[-1], p - 2, p)
     return [c * inv % p for c in u], v
+
+
+def _sqrt_part(F: list[int], p: int) -> list[int]:
+    """V = x^3 + a x^2 + b x + c with deg(F - V^2) <= 2, for F monic of
+    degree 6."""
+    half = (p + 1) // 2
+    a = F[5] * half % p
+    b = (F[4] - a * a) * half % p
+    c = (F[3] - 2 * a * b) * half % p
+    return [c, b, a, 1]
+
+
+def _real_add(d1, d2, F: list[int], p: int):
+    """The sum of two balanced classes (u, v, n) on a real model.
+
+    Composition leaves D = div(u, v) + n inf+ + m inf- - 2 (inf+ + inf-)
+    with deg u + n + m = 4, each pair P + iota(P) it took out counted as
+    inf+ + inf-, which differs from it by div(x - x(P)).  When deg u <= 2
+    and n, m >= 1 this is the balanced form.  Otherwise one step by
+    div(y - w) gets there, for a lift w = v mod u.  It is
+    div(u, v) + div(u', w) - A inf+ - B inf-, with u u' = F - w^2 and A, B
+    the pole orders of y - w at inf+ and inf- (deg(V - w) and deg(V + w)
+    where nonzero), so D is the class of
+    div(u', -w) + (n + deg u - B) inf+ + (m + deg u - A) inf-
+    - 2 (inf+ + inf-).  The lift w = V - ((V - v) mod u) takes the excess
+    off inf+ when n >= m, its mirror w = ((V + v) mod u) - V off inf-
+    when n < m; in every case composition leaves, one step balances D.
+    """
+    u, v, pairs = _compose(d1, d2, F, p)
+    d = len(u) - 1
+    n = d1[2] + d2[2] + pairs
+    m = 4 - d - n
+    if d <= 2 and n and m:
+        return u, v, n - 1
+    V = _sqrt_part(F, p)
+    if n >= m:
+        w = poly_sub(V, poly_divmod(poly_sub(V, v, p), u, p)[1], p)
+    else:
+        w = poly_sub(poly_divmod(poly_add(V, v, p), u, p)[1], V, p)
+    u = poly_divmod(poly_sub(F, poly_mul(w, w, p), p), u, p)[0]
+    inv = pow(u[-1], p - 2, p)
+    u = [c * inv % p for c in u]
+    # B = deg(V + w), or where w = -V, deg(F - V^2) - 3 = deg u + deg u' - 3
+    total = poly_add(V, w, p)
+    pole = len(total) - 1 if total else d + len(u) - 4
+    return u, poly_divmod(poly_sub([], w, p), u, p)[1], n + d - pole - 1
+
+
+def _neutral(F: list[int]):
+    return _REAL_NEUTRAL if len(F) == 7 else _NEUTRAL
 
 
 def cantor_mul(n: int, d, F: list[int], p: int):
@@ -207,8 +307,10 @@ def cantor_mul(n: int, d, F: list[int], p: int):
     if len(d[0]) == 2 and n > 1:
         half = cantor_mul(n >> 1, cantor_add(d, d, F, p), F, p)
         return cantor_add(half, d, F, p) if n & 1 else half
-    acc = _NEUTRAL
-    for bit in bin(n)[2:]:
+    if not n:
+        return _neutral(F)
+    acc = d
+    for bit in bin(n)[3:]:
         acc = cantor_add(acc, acc, F, p)
         if bit == "1":
             acc = cantor_add(acc, d, F, p)
@@ -217,8 +319,9 @@ def cantor_mul(n: int, d, F: list[int], p: int):
 
 def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
     """Divisors (x - x0, y0) for x0 = 0, 1, 2, ... with F(x0) a square,
-    at most JACOBIAN_POINTS of them; y0 is read from a table of square
-    roots, root[a^2 mod p] = a for 0 <= a <= (p-1)/2."""
+    at most JACOBIAN_POINTS of them, on a real model with n = 0, the
+    class of P - inf+; y0 is read from a table of square roots,
+    root[a^2 mod p] = a for 0 <= a <= (p-1)/2."""
     half = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[half * half % p] = half
@@ -229,7 +332,8 @@ def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
             value = (value * x0 + c) % p
         if chi[value] >= 0:
             y0 = int(root[value])
-            yield [-x0 % p, 1], [y0] if y0 else []
+            point = [-x0 % p, 1], [y0] if y0 else []
+            yield point + (0,) if len(F) == 7 else point
             found += 1
             if found == JACOBIAN_POINTS:
                 return
@@ -243,6 +347,7 @@ def _jacobian_survivors(F, c1: int, candidates: list[int], chi, p: int) -> list[
     N_k D = N_0 D + k (pD) holds only along that full progression, so the
     walk steps through every k between the first and the last survivor.
     """
+    neutral = _neutral(F)
     for point in _jacobian_points(F, chi, p):
         if len(candidates) <= 1:
             break
@@ -250,7 +355,7 @@ def _jacobian_survivors(F, c1: int, candidates: list[int], chi, p: int) -> list[
         acc = cantor_mul(p * p + 1 + (p + 1) * c1 + candidates[0], point, F, p)
         survivors = []
         for c2 in range(candidates[0], candidates[-1] + 1, p):
-            if acc == _NEUTRAL and c2 in candidates:
+            if acc == neutral and c2 in candidates:
                 survivors.append(c2)
             acc = cantor_add(acc, step, F, p)
         candidates = survivors
@@ -262,21 +367,21 @@ def hasse_witt_lpoly(
 ) -> Optional[LPoly]:
     """The genus-2 L-polynomial at an odd good prime p, given c1 from the
     F_p count, the character table chi and values = f mod p at every x in
-    F_p; None when a sextic has no root mod p or the Jacobian points leave
-    more than one c2, so the caller has to count over F_{p^2}.
-    LPolyValidationError when W contradicts c1 or no candidate survives,
-    which would be a bug.
+    F_p; None when the Jacobian points leave more than one c2, so the
+    caller has to count over F_{p^2}.  LPolyValidationError when W
+    contradicts c1 or no candidate survives, which would be a bug.
+
+    A curve with no F_p-point, which alone has no model, has c1 = -p - 1
+    and so p < 17; the Weil bound then leaves c2 an interval of width
+    p (2 - (p + 1) / (2 sqrt p))^2 < p, one candidate at most.
     """
     f = [a % p for a in f_coeffs]
-    root = int(np.argmin(values))  # the first x with f(x) = 0, if any
-    if len(f) == 7 and values[root]:
-        return None
     trace, det = hasse_witt(f, p)
     if (c1 + trace) % p:
         raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")
     candidates = [c2 for c2 in range(det - 3 * p, 7 * p, p) if weil_ok(p, c1, c2)]
     if len(candidates) > 1:
-        F = monic_quintic_model(f, p, root)
+        F = monic_model(f, p, chi, values)
         candidates = _jacobian_survivors(F, c1, candidates, chi, p)
     if not candidates:
         raise LPolyValidationError(f"no c2 = {det} mod {p} fits the Jacobian at p={p}")

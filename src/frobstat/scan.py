@@ -46,10 +46,9 @@ def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     """The record of one good prime.  It checks the prime, builds the
     character table and evaluates f mod p at every x in F_p once, for the
     F_p count and for the genus-2 path: the Hasse-Witt matrix and the
-    Jacobian order, and the F_{p^2} count for a sextic with no root mod p
-    and where the Jacobian points leave c2 undecided.  Raises as
-    count_points does, the p >= EXT2_MAX_P refusal only where the F_{p^2}
-    count would run."""
+    Jacobian order, and the F_{p^2} count only where the Jacobian points
+    leave c2 undecided.  Raises as count_points does, the p >= EXT2_MAX_P
+    refusal only where the F_{p^2} count would run."""
     _check_reduction(curve, p)
     chi = character_table(p)
     values = _values_mod_p([a % p for a in curve.f_coeffs], p)

@@ -190,12 +190,12 @@ def test_ext2_count_refuses_primes_past_the_int64_bound(monkeypatch):
     rec = record_for_prime(curve, 1000003)
     assert weil_ok(rec.p, rec.c1, rec.c2)
     assert ScanRecord.from_json_dict(rec.to_json_dict()) == rec
-    # a sextic with no root mod p still needs the count, and is refused
-    # after the root test, before any O(p^2) work
+    # so does a sextic with no root mod p, on its real model
     sextic = make_curve([2, 3, -1, 0, 1, 5, 1])
     assert roots_mod_p(sextic.f_coeffs, 1000117) == []
-    with pytest.raises(ValueError, match="p < 1000000"):
-        record_for_prime(sextic, 1000117)
+    rec = record_for_prime(sextic, 1000117)
+    assert weil_ok(rec.p, rec.c1, rec.c2)
+    assert ScanRecord.from_json_dict(rec.to_json_dict()) == rec
     # the largest prime below the bound still reaches the count
     monkeypatch.setattr(counting, "_count_ext2", lambda curve, p, chi, values: p * p + 1)
     assert count_points(curve, 999983, ext=2) == 999983**2 + 1

@@ -2,6 +2,8 @@
 checked against the F_{p^2} count, which stays in the package as its
 fallback and serves here as the oracle."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from frobstat.hasse_witt import (
     cantor_add,
     cantor_mul,
     hasse_witt_lpoly,
-    monic_quintic_model,
+    monic_model,
 )
 from frobstat.lpoly import lpoly_from_counts, normalize, weil_ok
 from frobstat.scan import record_for_prime
@@ -37,17 +39,22 @@ def values(curve, p):
     return _values_mod_p([a % p for a in curve.f_coeffs], p)
 
 
-def first_root(f_coeffs, p):
-    """A root mod p of a sextic, which monic_quintic_model needs; None for
-    a quintic."""
-    return roots_mod_p(f_coeffs, p)[0] if len(f_coeffs) == 7 else None
+def model(curve, p):
+    return monic_model([a % p for a in curve.f_coeffs], p, character_table(p), values(curve, p))
 
 
 def jacobian_points(curve, p):
-    f = [a % p for a in curve.f_coeffs]
-    root = first_root(curve.f_coeffs, p)
-    F = monic_quintic_model(f, p, root)
+    F = model(curve, p)
     return F, list(hasse_witt._jacobian_points(F, character_table(p), p))
+
+
+def must_not_count(curve, p, chi, values):
+    raise AssertionError("the F_{p^2} count ran")
+
+
+def squarefree(F, p):
+    derivative = arith.poly_trim([i * c % p for i, c in enumerate(F)][1:])
+    return arith.poly_gcd(F, derivative, p) == [1]
 
 
 def test_hasse_witt_matches_the_coefficients_of_the_power():
@@ -71,43 +78,102 @@ def test_hasse_witt_matches_the_coefficients_of_the_power():
 
 def test_monic_models_keep_the_point_count():
     # the model is isomorphic over F_p, so its count (one point at
-    # infinity) equals the count of the curve as given
-    for f_coeffs, p in [([2, 0, 2, -1, 1, 3], 11), ([2, 3, -1, 0, 1, 5, 1], 103),
-                        ([1, 1, 0, 0, 0, 0, 3], 13), ([5, -1, 0, 0, 0, 7], 211)]:
+    # infinity on a quintic, two on a real model) equals the count of the
+    # curve as given
+    for f_coeffs, p, degree in [
+        ([2, 0, 2, -1, 1, 3], 11, 5), ([2, 3, -1, 0, 1, 5, 1], 103, 5),
+        ([1, 1, 0, 0, 0, 0, 3], 13, 5), ([5, -1, 0, 0, 0, 7], 211, 5),
+        ([2, 3, -1, 0, 1, 5, 1], 211, 6),  # no root mod p, leading coefficient 1
+        ([3, -1, -1, 3, -1, -2, 2], 103, 6),  # no root, 2 a square mod 103
+        ([3, -1, -1, 3, -1, -2, 2], 109, 6),  # no root, 2 not a square mod 109
+    ]:
         curve = make_curve(f_coeffs)
-        F = monic_quintic_model([a % p for a in f_coeffs], p, first_root(f_coeffs, p))
-        assert len(F) == 6 and F[-1] == 1
+        assert (len(f_coeffs) == 6 or bool(roots_mod_p(f_coeffs, p))) == (degree == 5)
+        F = model(curve, p)
+        assert len(F) == degree + 1 and F[-1] == 1
         assert count_points(make_curve(F), p) == count_points(curve, p)
 
 
-@given(p=st.sampled_from([7, 11, 13, 101, 1009]), seed=st.integers(0, 2**40 - 1),
+def test_pointless_sextic_has_no_model_and_needs_none(monkeypatch):
+    # 3x^6 + 3x^5 + x^3 + 3x^2 + 3 takes no square value mod 7 and its
+    # leading coefficient is not a square, so no point goes to infinity;
+    # but c1 = -p - 1 then leaves a single c2 within the Weil bound, so the
+    # record needs neither the model nor the count
+    f_coeffs, p = [3, 0, 3, 1, 0, 3, 3], 7
+    curve = make_curve(f_coeffs)
+    assert count_points(curve, p) == 0
+    assert model(curve, p) is None
+    expected = counted_record(curve, p)
+    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+    assert record_for_prime(curve, p) == expected
+
+
+@given(p=st.sampled_from([7, 11, 13, 101, 1009]), degree=st.sampled_from([5, 6]),
+       seed=st.integers(0, 2**48 - 1),
        picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
                       min_size=4, max_size=24))
-@settings(max_examples=150, deadline=None)
-def test_cantor_add_agrees_with_the_general_steps(p, seed, picks):
-    # sums and doubles of divisor classes built from rational points:
-    # cantor_add takes the explicit formulas where it can, and must give
-    # what Cantor's general composition and reduction give
-    F = [(seed >> (8 * i)) % p for i in range(5)] + [1]
+@settings(max_examples=200, deadline=None)
+def test_cantor_add_agrees_with_the_general_steps(p, degree, seed, picks):
+    # sums and doubles of divisor classes built from rational points, on a
+    # quintic and on a real model: cantor_add takes the explicit formulas
+    # where it can, and must give what the general composition and
+    # reduction give
+    F = [(seed >> (8 * i)) % p for i in range(degree)] + [1]
+    assume(squarefree(F, p))
     divisors = list(hasse_witt._jacobian_points(F, character_table(p), p))
     assume(divisors)
-    divisors.append(hasse_witt._NEUTRAL)
+    general = hasse_witt._real_add if degree == 6 else hasse_witt._cantor
+    divisors.append(hasse_witt._neutral(F))
     for i, j in picks:
         d1, d2 = divisors[i % len(divisors)], divisors[j % len(divisors)]
         total = cantor_add(d1, d2, F, p)
-        assert total == hasse_witt._cantor(d1, d2, F, p)
+        assert total == general(d1, d2, F, p)
         divisors.append(total)
 
 
 def test_explicit_formulas_cover_the_generic_sum_and_double():
-    F, p = [3, 1, 0, 0, 0, 1], 1009
-    points = list(hasse_witt._jacobian_points(F, character_table(p), p))
-    d1 = cantor_add(points[0], points[1], F, p)
-    d2 = cantor_add(points[2], points[3], F, p)
-    for a, b in ((d1, d2), (d1, d1), (d2, d2)):
-        fast = hasse_witt._add_weight_two(a, b, F, p)
-        assert fast is not None and len(fast[0]) == 3
-        assert fast == hasse_witt._cantor(a, b, F, p)
+    # on a quintic and on a real model, where the sum keeps n = 0
+    p = 1009
+    for F, general in (([3, 1, 0, 0, 0, 1], hasse_witt._cantor),
+                       ([3, 1, 0, 0, 0, 2, 1], hasse_witt._real_add)):
+        points = list(hasse_witt._jacobian_points(F, character_table(p), p))
+        d1 = cantor_add(points[0], points[1], F, p)
+        d2 = cantor_add(points[2], points[3], F, p)
+        for a, b in ((d1, d2), (d1, d1), (d2, d2)):
+            fast = hasse_witt._add_weight_two(a, b, F, p)
+            assert fast is not None and len(fast[0]) == 3
+            assert fast + a[2:] == general(a, b, F, p)
+
+
+@pytest.mark.parametrize("f_coeffs", [[2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]])
+def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
+    # on the real model of a sextic with no root mod p (leading coefficient
+    # a square or not): sums of random classes are balanced and reduced,
+    # commute and associate, and #J(F_p) = P(1) kills every class
+    curve = make_curve(f_coeffs)
+    primes = [p for p in counting.good_primes(curve, 1100)
+              if p >= 17 and not roots_mod_p(f_coeffs, p)]
+    for p in primes[:4] + primes[-2:]:
+        lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_points(curve, p, 2))
+        order = sum(lp.coefficients())
+        F, points = jacobian_points(curve, p)
+        assert len(F) == 7 and points
+        rng = random.Random(p)
+        pool = points + [hasse_witt._REAL_NEUTRAL, ([1], [], 0), ([1], [], 2)]
+        for _ in range(12):
+            pool.append(cantor_mul(rng.randrange(1, p * p), rng.choice(points), F, p))
+        for _ in range(30):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            total = cantor_add(a, b, F, p)
+            u, v, n = total
+            assert u[-1] == 1 and len(v) < len(u) and 0 <= n <= 3 - len(u)
+            assert not arith.poly_divmod(arith.poly_sub(F, arith.poly_mul(v, v, p), p), u, p)[1]
+            assert total == cantor_add(b, a, F, p)
+            assert cantor_add(total, c, F, p) == cantor_add(a, cantor_add(b, c, F, p), F, p)
+            pool.append(total)
+        for d in pool:
+            assert cantor_mul(order, d, F, p) == hasse_witt._REAL_NEUTRAL
+        assert cantor_mul(order + 1, points[0], F, p) == points[0]
 
 
 def test_jacobian_order_kills_every_point():
@@ -246,29 +312,97 @@ def test_unresolved_candidates_fall_back_to_the_count(monkeypatch):
     assert counted == [p]
 
 
-def test_rootless_sextic_goes_straight_to_the_count(monkeypatch):
-    curve = make_curve([2, 3, -1, 0, 1, 5, 1])
-    p = next(p for p in counting.good_primes(curve, 2000) if not roots_mod_p(curve.f_coeffs, p))
-    expected = counted_record(curve, p)
+def test_rootless_sextic_builds_w_and_skips_the_count(monkeypatch):
+    # the first prime p >= 17 where the sextic has no root mod p, with
+    # leading coefficient 1 and 2, not a square mod the second's p = 19:
+    # W is built, c2 is picked on the real model, and nothing is counted
+    # over F_{p^2}
+    built = []
+    matrix = hasse_witt.hasse_witt
 
-    def must_not_run(f, p):
-        raise AssertionError("the Hasse-Witt matrix was built")
+    def spy(f, p):
+        built.append(p)
+        return matrix(f, p)
 
-    monkeypatch.setattr(hasse_witt, "hasse_witt", must_not_run)
-    assert record_for_prime(curve, p) == expected
+    monkeypatch.setattr(hasse_witt, "hasse_witt", spy)
+    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+    for f_coeffs in ([2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]):
+        curve = make_curve(f_coeffs)
+        p = next(p for p in counting.good_primes(curve, 2000)
+                 if p >= 17 and not roots_mod_p(curve.f_coeffs, p))
+        expected = counted_record(curve, p)
+        built.clear()
+        assert record_for_prime(curve, p) == expected
+        assert built == [p]
+
+
+@st.composite
+def rootless_sextic_at_prime(draw):
+    """A sextic with no root mod p whose leading coefficient is a square
+    mod p or not, as drawn, and a good prime 17 <= p < 2000.  The constant
+    term is the first residue from a drawn offset on that is not -g(x) at
+    any x, for g the rest of f."""
+    p = draw(st.sampled_from([q for q in PRIMES if q >= 17]))
+    character = draw(st.sampled_from([1, -1]))
+    lead = draw(st.sampled_from([a for a in range(1, 60) if legendre(p, a) == character]))
+    g = [0] + draw(st.lists(st.integers(-9, 9), min_size=5, max_size=5)) + [lead]
+    taken = {-sum(c * pow(x, i, p) for i, c in enumerate(g)) % p for x in range(p)}
+    offset = draw(st.integers(0, p - 1))
+    f0 = next((c % p for c in range(offset, offset + p) if c % p not in taken), None)
+    assume(f0 is not None)
+    f = [f0] + g[1:]
+    assert not roots_mod_p(f, p)
+    try:
+        curve = make_curve(f)
+        count_points(curve, p)
+    except (ValueError, BadReductionError):
+        assume(False)
+    return curve, p
+
+
+def test_rootless_sextics_match_the_count(monkeypatch):
+    chose = []
+    survivors = hasse_witt._jacobian_survivors
+
+    def spy(F, c1, candidates, chi, p):
+        assert len(F) == 7
+        chose.append(len(candidates))
+        return survivors(F, c1, candidates, chi, p)
+
+    monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
+    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+
+    characters = set()
+
+    @given(case=rootless_sextic_at_prime())
+    @settings(max_examples=30, deadline=None)
+    def check(case):
+        curve, p = case
+        characters.add(legendre(p, curve.leading))
+        assert record_for_prime(curve, p) == counted_record(curve, p)
+
+    check()
+    assert characters == {1, -1}
+    # most draws leave several c2 for the real model's Jacobian to choose
+    assert sum(n > 1 for n in chose) >= 10
 
 
 @pytest.mark.parametrize("f_coeffs,primes", [
     ([1, 1, 0, 1], [3, 101, 1009]),  # genus 1
     ([1, -1, 0, 0, 0, 1], [3, 7, 1021]),  # quintic, decided by the Jacobian
-    ([2, 3, -1, 0, 1, 5, 1], [211, 223, 1019]),  # sextic with and without a root
+    # sextic without a root mod 211 and 1031, with one mod 223 and 1019
+    ([2, 3, -1, 0, 1, 5, 1], [211, 223, 1019, 1031]),
     ([0, -1, 0, 0, 0, 1], [3, 5]),  # candidates left open for the count
+    # no root mod 103 and 1051, whose leading coefficient 2 is a square
+    # mod 103 and not mod 1051, and a root mod 211
+    ([3, -1, -1, 3, -1, -2, 2], [103, 211, 1051]),
 ])
 def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
     # one reduction check, one table and one pass over the values of f per
     # prime, also where the F_{p^2} count runs, so trial division runs
-    # twice: in the check and in the table's own prime test
-    built, checked, trial, evaluated = [], [], [], []
+    # twice: in the check and in the table's own prime test; the count
+    # runs only where x^5 - x leaves c2 open
+    built, checked, trial, evaluated, ext2 = [], [], [], [], []
 
     def counted_table(p):
         built.append(p)
@@ -286,7 +420,12 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
         evaluated.append(p)
         return evaluate(coeffs, p)
 
+    def counted_ext2(curve, p, chi, values):
+        ext2.append(p)
+        return count_ext2(curve, p, chi, values)
+
     check, evaluate = counting._check_reduction, counting._values_mod_p
+    count_ext2 = counting._count_ext2
     monkeypatch.setattr(scan, "character_table", counted_table)
     monkeypatch.setattr(counting, "character_table", counted_table)
     monkeypatch.setattr(scan, "_check_reduction", counted_check)
@@ -295,10 +434,12 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
     monkeypatch.setattr(counting, "is_prime", counted_is_prime)
     monkeypatch.setattr(scan, "_values_mod_p", counted_values)
     monkeypatch.setattr(counting, "_values_mod_p", counted_values)
+    monkeypatch.setattr(scan, "_count_ext2", counted_ext2)
     curve = make_curve(f_coeffs)
     for p in primes:
         record_for_prime(curve, p)
     assert built == primes
     assert checked == primes
     assert evaluated == primes
+    assert ext2 == (primes if f_coeffs == [0, -1, 0, 0, 0, 1] else [])
     assert trial == [p for p in primes for _ in range(2)]
