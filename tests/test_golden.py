@@ -14,6 +14,10 @@ were recorded while every prime was still counted over F_{p^2}.  The
 sextic 2x^6 - 2x^5 - x^4 + 3x^3 - x^2 - x + 3 to N = 1024, whose leading
 coefficient is a square mod some primes and not mod others, was recorded
 while its primes without a root mod p were still counted over F_{p^2}.
+The quintics x^5 - x and x^5 - x^4 - 2x^3 - 2x^2 - 2x to N = 1024, the
+first pinned scans whose Jacobian points leave c2 open (at p = 3 and 5,
+and at p = 3 and 7), were recorded while those primes were still counted
+over F_{p^2} by numpy.
 """
 
 import contextlib
@@ -34,6 +38,8 @@ SCAN_SHA256 = {
     "--f=1,-1,0,0,0,1 --N 1024": "925225d3405b1cb5ac06b3137cd39b1f0b8905703d9872d0fddc329dfdb3f257",
     "--f=2,3,-1,0,1,5,1 --N 1024": "6ff9bb97ed61aba14d102ea5678a2eb0266314c74c6049024b835b6a4228a5aa",
     "--f=3,-1,-1,3,-1,-2,2 --N 1024": "faec9fcd9040a7e4d2eb6622348c6dd7aca313087f05fea20a32e7168eab4eda",
+    "--f=0,-1,0,0,0,1 --N 1024": "0c5ba93aa64be81b40d17ed2d78de74f6fa3ee289ee9aac18726cf0e80b76ea3",
+    "--f=0,-2,-2,-2,-1,1 --N 1024": "4b8f807cb257d1fc269a9eb027706966d99b1a436195760456ece2e3f26bef51",
 }
 # stdout of the side experiments with these arguments
 SIDE_SHA256 = {
