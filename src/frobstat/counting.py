@@ -5,12 +5,11 @@ or 2.  Counts are affine character sums plus the points at infinity of the
 smooth model: one point for odd deg f, and for even deg f two points when
 the leading coefficient is a square in the field (always true in F_{p^2}).
 
-A genus-2 scan needs the O(p^2) F_{p^2} count only where the Jacobian
-points of the Hasse-Witt path of hasse_witt leave c2 undecided, as for
-x^5 - x at p = 3 and 5, where every point of F_p has y = 0;
-scan.record_for_prime checks each prime once and hands one character
-table and one array of the values of f mod p to the private counts and to
-that path.
+frobenius is the per-prime pipeline of count_points and
+scan.record_for_prime: one reduction check, one character table and one
+array of f mod p feed the F_p count and the L-polynomial (hasse_witt in
+genus 2), which gives the count over F_{p^2}.  F_{p^2} is enumerated only
+where the Jacobian points leave c2 open, as for x^5 - x at p = 3 and 5.
 """
 
 from __future__ import annotations
@@ -21,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import character_table, is_prime, poly_trim, sieve_primes
-
-# the F_{p^2} count's lazy reduction keeps values below about 3.5 p^3,
-# which fits in int64 only for p below this bound
-EXT2_MAX_P = 10**6
-# rows of b values evaluated per numpy pass in the F_{p^2} count
-_EXT2_CHUNK = 128
+from .hasse_witt import hasse_witt_lpoly
+from .lpoly import LPoly, lpoly_from_counts, predicted_count
 
 
 class BadReductionError(ValueError):
@@ -162,35 +157,48 @@ def _assert_weil(count: int, p: int, ext: int, genus: int) -> None:
         )
 
 
-def _check_ext2_bound(p: int) -> None:
-    if p >= EXT2_MAX_P:
-        raise ValueError(
-            f"the F_{{p^2}} count needs p < {EXT2_MAX_P} to stay in int64, got p={p}"
-        )
-
-
 def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     """Number of points on the smooth model of the curve over F_{p^ext}.
 
-    ext is 1 or 2.  Affine points are counted by the quadratic character
-    sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly one point.
-    Raises BadReductionError for unusable primes, ValueError for ext = 2 at
-    p >= EXT2_MAX_P, and WeilBoundError if the result falls outside the
-    Hasse-Weil interval (which would be a bug).  The F_p count and the
-    character table form values below p^2 in int64, so they are exact only
-    for p < 3.03e9; their 8p-byte arrays exhaust memory long before that.
+    ext is 1 or 2.  Affine points over F_p are counted by the quadratic
+    character sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly
+    one point.  The count over F_{p^2} is read from the L-polynomial of
+    frobenius.  Raises BadReductionError for unusable primes and
+    WeilBoundError if the result falls outside the Hasse-Weil interval
+    (which would be a bug).  The character table forms values below p^2
+    in int64, exact for p < 3.03e9; its 8p bytes exhaust memory first.
     """
-    _check_reduction(curve, p)
     if ext == 1:
-        count = _count_ext1
+        n = _count_ext1(curve, p, *_tables(curve, p))
     elif ext == 2:
-        _check_ext2_bound(p)
-        count = _count_ext2
+        n = predicted_count(frobenius(curve, p)[1], 2)
     else:
         raise ValueError(f"ext must be 1 or 2, got {ext}")
-    n = count(curve, p, character_table(p), _values_mod_p([a % p for a in curve.f_coeffs], p))
     _assert_weil(n, p, ext, curve.genus)
     return n
+
+
+def frobenius(curve: HyperellipticCurve, p: int) -> tuple[int, LPoly]:
+    """(n1, L-polynomial) at p, from one table and one array of f mod p;
+    F_{p^2} is enumerated only where hasse_witt_lpoly leaves c2 open.
+    Raises as count_points does."""
+    chi, values = _tables(curve, p)
+    n1 = _count_ext1(curve, p, chi, values)
+    _assert_weil(n1, p, 1, curve.genus)
+    if curve.genus == 1:
+        return n1, lpoly_from_counts(1, p, n1)
+    lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
+    if lp is None:
+        n2 = _count_ext2(curve, p, chi)
+        _assert_weil(n2, p, 2, curve.genus)
+        lp = lpoly_from_counts(2, p, n1, n2)
+    return n1, lp
+
+
+def _tables(curve: HyperellipticCurve, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The character table and f mod p at every x in F_p of a good p."""
+    _check_reduction(curve, p)
+    return character_table(p), _values_mod_p([a % p for a in curve.f_coeffs], p)
 
 
 def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
@@ -212,43 +220,23 @@ def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.n
     return affine + inf
 
 
-def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.ndarray) -> int:
-    """Count over F_{p^2} = F_p[t]/(t^2 - d); chi and values as for _count_ext1.
-
-    Evaluates f by Horner directly in the extension and tests squareness via
-    chi_p(Norm).  Conjugate elements a + bt and a - bt give equal character
-    values, so only b in 0..(p-1)/2 is evaluated and the b > 0 half doubled.
-    """
-    # the smallest nonresidue d defines F_{p^2} = F_p[t]/(t^2 - d)
-    d = int(np.argmax(chi < 0))
-    coeffs = [a % p for a in curve.f_coeffs]
-
-    # b = 0 row: x in F_p, f(x) in F_p, chi2 = 1 unless f(x) = 0
-    char_sum = p - int((values == 0).sum())
-
-    a_row = np.arange(p, dtype=np.int64)[None, :]
-    for b0 in range(1, (p - 1) // 2 + 1, _EXT2_CHUNK):
-        b = np.arange(b0, min(b0 + _EXT2_CHUNK, (p - 1) // 2 + 1), dtype=np.int64)[:, None]
-        bd = b * d % p
-        u = np.zeros((len(b), p), dtype=np.int64)
-        v = np.zeros((len(b), p), dtype=np.int64)
-        # lazy reduction: values stay below ~3.5p^3 over two unreduced
-        # steps, inside int64 for p < EXT2_MAX_P
-        for i, a in enumerate(reversed(coeffs)):
-            u, v = u * a_row + v * bd + a, u * b + v * a_row
-            if i & 1:
-                u %= p
-                v %= p
-        u %= p
-        v %= p
-        norm = (u * u - d * v * v) % p
-        char_sum += 2 * int(chi[norm].sum())
-
-    affine = p * p + char_sum
-    # deg even: the leading coefficient is an F_p unit, hence a square in
-    # F_{p^2}, so both branches at infinity are rational
-    inf = 1 if curve.degree % 2 == 1 else 2
-    return affine + inf
+def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
+    """Count over F_{p^2} = F_p[t]/(t^2 - d), d the smallest nonresidue, by
+    Horner and chi_p of the norm.  Conjugates have equal norms, so b > 0 up
+    to (p-1)/2 counts twice.  Both points at infinity of even deg f are
+    rational: lc(f) is a square in F_{p^2}."""
+    d, square = int(np.argmax(chi < 0)), chi.tolist()
+    coeffs = [c % p for c in reversed(curve.f_coeffs)]
+    char_sum = 0
+    for b in range((p + 1) // 2):
+        row = 0
+        for a in range(p):
+            u = v = 0
+            for c in coeffs:
+                u, v = (u * a + v * b * d + c) % p, (u * b + v * a) % p
+            row += square[(u * u - d * v * v) % p]
+        char_sum += row if b == 0 else 2 * row
+    return p * p + char_sum + (1 if curve.degree % 2 else 2)
 
 
 def good_primes(curve: HyperellipticCurve, n: int) -> list[int]:

@@ -15,9 +15,9 @@ quintic and for a sextic with a root mod p, read from the values of f that
 the F_p count evaluates.  A sextic without one keeps a real model of
 degree 6, whose divisor classes are balanced divisors
 (Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic arithmetic
-using balanced representation for divisors", ANTS VIII, 2008).  Only the
-rare primes where the Jacobian points leave more than one candidate go
-back to the F_{p^2} count.
+using balanced representation for divisors", ANTS VIII, 2008).  Where
+the Jacobian points leave more than one candidate, which no prime above 7
+has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .arith import poly_add, poly_divmod, poly_mul, poly_sub, poly_xgcd
 from .lpoly import LPoly, LPolyValidationError, weil_ok
 
-# points of the Jacobian tried before the candidates go back to the count
+# points of the Jacobian tried before F_{p^2} is enumerated
 JACOBIAN_POINTS = 4
 
 # the neutral divisor in Mumford form (u, v) = (1, 0), and on a real model
@@ -368,7 +368,7 @@ def hasse_witt_lpoly(
     """The genus-2 L-polynomial at an odd good prime p, given c1 from the
     F_p count, the character table chi and values = f mod p at every x in
     F_p; None when the Jacobian points leave more than one c2, so the
-    caller has to count over F_{p^2}.  LPolyValidationError when W
+    caller has to enumerate F_{p^2}.  LPolyValidationError when W
     contradicts c1 or no candidate survives, which would be a bug.
 
     A curve with no F_p-point, which alone has no model, has c1 = -p - 1

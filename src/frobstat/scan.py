@@ -17,20 +17,8 @@ from dataclasses import dataclass
 from multiprocessing import Pipe, Process, Value
 from typing import IO, Iterable, Optional
 
-from .arith import character_table
-from .counting import (
-    HyperellipticCurve,
-    _assert_weil,
-    _check_ext2_bound,
-    _check_reduction,
-    _count_ext1,
-    _count_ext2,
-    _values_mod_p,
-    good_primes,
-    make_curve,
-)
-from .hasse_witt import hasse_witt_lpoly
-from .lpoly import lpoly_from_counts, normalize, predicted_count
+from .counting import HyperellipticCurve, frobenius, good_primes, make_curve
+from .lpoly import normalize, predicted_count
 from .stats import ScanRecord
 
 
@@ -43,28 +31,11 @@ class ScanConfig:
 
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
-    """The record of one good prime.  It checks the prime, builds the
-    character table and evaluates f mod p at every x in F_p once, for the
-    F_p count and for the genus-2 path: the Hasse-Witt matrix and the
-    Jacobian order, and the F_{p^2} count only where the Jacobian points
-    leave c2 undecided.  Raises as count_points does, the p >= EXT2_MAX_P
-    refusal only where the F_{p^2} count would run."""
-    _check_reduction(curve, p)
-    chi = character_table(p)
-    values = _values_mod_p([a % p for a in curve.f_coeffs], p)
-    n1 = _count_ext1(curve, p, chi, values)
-    _assert_weil(n1, p, 1, curve.genus)
-    if curve.genus == 1:
-        lp, n2 = lpoly_from_counts(1, p, n1), None
-    else:
-        lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
-        if lp is None:
-            _check_ext2_bound(p)
-            n2 = _count_ext2(curve, p, chi, values)
-            _assert_weil(n2, p, 2, curve.genus)
-            lp = lpoly_from_counts(2, p, n1, n2)
-        else:
-            n2 = predicted_count(lp, 2)
+    """The record of one good prime, from counting.frobenius: the F_p
+    count and the L-polynomial, and in genus 2 the F_{p^2} count that the
+    L-polynomial predicts.  Raises as count_points does."""
+    n1, lp = frobenius(curve, p)
+    n2 = None if curve.genus == 1 else predicted_count(lp, 2)
     nc = normalize(lp)
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 

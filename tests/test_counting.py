@@ -1,13 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frobstat import counting, scan
-from frobstat.arith import poly_derivative, poly_gcd, sieve_primes
+from frobstat import counting
+from frobstat.arith import character_table, poly_derivative, poly_gcd, sieve_primes
 from frobstat.counting import (
-    EXT2_MAX_P,
     BadReductionError,
     count_points,
     good_primes,
@@ -19,9 +18,10 @@ from frobstat.lpoly import weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import roots_mod_p
+from oracles import count_ext2, roots_mod_p
 
-# expected counts frozen from a standalone enumerator that walks every
+# expected counts frozen from a standalone enumerator, which count_points
+# now meets through the L-polynomial that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))
 # and adds the points at infinity by testing the leading coefficient
 BRUTE_COUNTS = {
@@ -172,33 +172,61 @@ def test_reduction_check_agrees_with_squarefree_gcd(coeffs, p):
         assert squareful and e.reason == "f is not squarefree mod p"
 
 
-def test_ext2_count_refuses_primes_past_the_int64_bound(monkeypatch):
-    # the lazy reduction of the F_{p^2} count is exact in int64 only for
-    # p < 10^6; past that count_points refuses before counting anything
-    assert EXT2_MAX_P == 10**6
+def test_primes_past_a_million_need_no_enumeration(monkeypatch):
+    # the records and the F_{p^2} count come from the L-polynomial, so
+    # nothing enumerates F_{p^2} and nothing bounds p
     curve = make_curve([1, -1, 0, 0, 0, 1])
 
-    def must_not_run(curve, p, chi, values):
+    def must_not_run(curve, p, chi):
         raise AssertionError("the O(p^2) count ran")
 
     monkeypatch.setattr(counting, "_count_ext2", must_not_run)
-    monkeypatch.setattr(scan, "_count_ext2", must_not_run)
-    with pytest.raises(ValueError, match="p < 1000000") as info:
-        count_points(curve, 1000003, ext=2)
-    assert not isinstance(info.value, BadReductionError)
-    # past the bound a quintic takes the Hasse-Witt path without counting
+    # a quintic takes the Hasse-Witt path without counting
     rec = record_for_prime(curve, 1000003)
     assert weil_ok(rec.p, rec.c1, rec.c2)
     assert ScanRecord.from_json_dict(rec.to_json_dict()) == rec
+    assert count_points(curve, 1000003, ext=2) == rec.n2
     # so does a sextic with no root mod p, on its real model
     sextic = make_curve([2, 3, -1, 0, 1, 5, 1])
     assert roots_mod_p(sextic.f_coeffs, 1000117) == []
     rec = record_for_prime(sextic, 1000117)
     assert weil_ok(rec.p, rec.c1, rec.c2)
     assert ScanRecord.from_json_dict(rec.to_json_dict()) == rec
-    # the largest prime below the bound still reaches the count
-    monkeypatch.setattr(counting, "_count_ext2", lambda curve, p, chi, values: p * p + 1)
-    assert count_points(curve, 999983, ext=2) == 999983**2 + 1
+
+
+@pytest.mark.parametrize("f_coeffs", [
+    (1, 1, 0, 1), (1, 0, 0, 1), (2, -1, 3, 0, 5),  # genus 1, cubic and quartic
+    (1, -1, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1), (0, -2, -2, -2, -1, 1), (13, 1, 0, 2, 0, 3),
+    (2, 3, -1, 0, 1, 5, 1), (1, 1, 0, 0, 0, 0, 3), (0, -1, 4, -4, 5, -3, 4),
+])
+def test_direct_count_matches_the_references(f_coeffs):
+    # the enumeration the package keeps for undecided primes against the
+    # pair enumerator and the numpy oracle at every good prime <= 13
+    curve = make_curve(list(f_coeffs))
+    primes = good_primes(curve, 13)
+    assert primes
+    for p in primes:
+        n2 = counting._count_ext2(curve, p, character_table(p))
+        assert n2 == _slow_count(f_coeffs, p, 2) == count_ext2(curve, p)
+
+
+def test_ext2_count_from_the_lpoly_matches_the_oracle():
+    genera = set()
+
+    @given(coeffs=st.lists(st.integers(-9, 9), min_size=3, max_size=6),
+           lead=st.integers(-9, 9).filter(bool), p=st.sampled_from(sieve_primes(2000)[1:]))
+    @settings(max_examples=40, deadline=None)
+    def check(coeffs, lead, p):
+        try:
+            curve = make_curve(coeffs + [lead])
+            n2 = count_points(curve, p, ext=2)
+        except (ValueError, BadReductionError):
+            assume(False)
+        genera.add(curve.genus)
+        assert n2 == count_ext2(curve, p)
+
+    check()
+    assert genera == {1, 2}
 
 
 def test_good_primes_matches_direct_filter():

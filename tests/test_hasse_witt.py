@@ -1,6 +1,5 @@
 """The genus-2 path through the Hasse-Witt matrix and the Jacobian order,
-checked against the F_{p^2} count, which stays in the package as its
-fallback and serves here as the oracle."""
+checked against the numpy F_{p^2} count of the tests' oracles."""
 
 import random
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frobstat import arith, counting, hasse_witt, scan
+from frobstat import arith, counting, hasse_witt
 from frobstat.arith import character_table, is_prime, poly_mul, sieve_primes
 from frobstat.counting import BadReductionError, _values_mod_p, count_points, make_curve
 from frobstat.hasse_witt import (
@@ -21,15 +20,15 @@ from frobstat.lpoly import lpoly_from_counts, normalize, weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import legendre, roots_mod_p
+from oracles import count_ext2, legendre, roots_mod_p
 
 PRIMES = sieve_primes(2000)[1:]
 
 
 def counted_record(curve, p):
     """The record built from both point counts, as the scan did before
-    the Hasse-Witt path."""
-    n1, n2 = count_points(curve, p, 1), count_points(curve, p, 2)
+    the Hasse-Witt path, with n2 from the oracle."""
+    n1, n2 = count_points(curve, p, 1), count_ext2(curve, p)
     lp = lpoly_from_counts(2, p, n1, n2)
     nc = normalize(lp)
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
@@ -48,7 +47,7 @@ def jacobian_points(curve, p):
     return F, list(hasse_witt._jacobian_points(F, character_table(p), p))
 
 
-def must_not_count(curve, p, chi, values):
+def must_not_count(curve, p, chi):
     raise AssertionError("the F_{p^2} count ran")
 
 
@@ -104,7 +103,7 @@ def test_pointless_sextic_has_no_model_and_needs_none(monkeypatch):
     assert count_points(curve, p) == 0
     assert model(curve, p) is None
     expected = counted_record(curve, p)
-    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
     assert record_for_prime(curve, p) == expected
 
 
@@ -154,7 +153,7 @@ def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
     primes = [p for p in counting.good_primes(curve, 1100)
               if p >= 17 and not roots_mod_p(f_coeffs, p)]
     for p in primes[:4] + primes[-2:]:
-        lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_points(curve, p, 2))
+        lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_ext2(curve, p))
         order = sum(lp.coefficients())
         F, points = jacobian_points(curve, p)
         assert len(F) == 7 and points
@@ -179,7 +178,7 @@ def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
 def test_jacobian_order_kills_every_point():
     curve = make_curve([1, -1, 0, 0, 0, 1])
     for p in (7, 11, 101, 211):
-        lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_points(curve, p, 2))
+        lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_ext2(curve, p))
         order = sum(lp.coefficients())  # P(1) = #J(F_p)
         F, points = jacobian_points(curve, p)
         for (u, v) in points:
@@ -258,6 +257,7 @@ def test_two_torsion_first_point_leaves_survivors_apart():
     ([0, -1, 0, 0, 0, 1], 5, False),  # and on all of F_5
     ([7, 1, 0, 2, 0, 3], 7, True),  # f(0) = 0 mod p, a quintic
     ([14, 1, 1, 0, 1, 0, 1], 7, True),  # and a sextic, whose first root is 0
+    ([0, -2, -2, -2, -1, 1], 7, False),  # c2 left open above 5 as well
 ])
 def test_small_primes_and_f_vanishing_at_zero_match_the_count(f_coeffs, p, decided):
     # W comes from h^n for f = x h; where every point of F_p lies on
@@ -294,18 +294,18 @@ def test_jacobian_points_lie_on_the_curve(p, seed):
 
 def test_unresolved_candidates_fall_back_to_the_count(monkeypatch):
     # with no Jacobian points the candidates stay undecided, so the record
-    # comes from the F_{p^2} count and does not change
+    # comes from the enumeration of F_{p^2} and does not change
     curve, p = make_curve([1, -1, 0, 0, 0, 1]), 1021
     expected = counted_record(curve, p)
     counted = []
     ext2 = counting._count_ext2
 
-    def spy(curve, p, chi, values):
+    def spy(curve, p, chi):
         counted.append(p)
-        return ext2(curve, p, chi, values)
+        return ext2(curve, p, chi)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_points", lambda F, chi, p: iter(()))
-    monkeypatch.setattr(scan, "_count_ext2", spy)
+    monkeypatch.setattr(counting, "_count_ext2", spy)
     assert hasse_witt_lpoly(curve.f_coeffs, p, expected.c1, character_table(p),
                             values(curve, p)) is None
     assert record_for_prime(curve, p) == expected
@@ -325,7 +325,7 @@ def test_rootless_sextic_builds_w_and_skips_the_count(monkeypatch):
         return matrix(f, p)
 
     monkeypatch.setattr(hasse_witt, "hasse_witt", spy)
-    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
     for f_coeffs in ([2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]):
         curve = make_curve(f_coeffs)
         p = next(p for p in counting.good_primes(curve, 2000)
@@ -370,7 +370,7 @@ def test_rootless_sextics_match_the_count(monkeypatch):
         return survivors(F, c1, candidates, chi, p)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
-    monkeypatch.setattr(scan, "_count_ext2", must_not_count)
+    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
 
     characters = set()
 
@@ -420,21 +420,18 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
         evaluated.append(p)
         return evaluate(coeffs, p)
 
-    def counted_ext2(curve, p, chi, values):
+    def counted_ext2(curve, p, chi):
         ext2.append(p)
-        return count_ext2(curve, p, chi, values)
+        return enumerate_ext2(curve, p, chi)
 
     check, evaluate = counting._check_reduction, counting._values_mod_p
-    count_ext2 = counting._count_ext2
-    monkeypatch.setattr(scan, "character_table", counted_table)
+    enumerate_ext2 = counting._count_ext2
     monkeypatch.setattr(counting, "character_table", counted_table)
-    monkeypatch.setattr(scan, "_check_reduction", counted_check)
     monkeypatch.setattr(counting, "_check_reduction", counted_check)
     monkeypatch.setattr(arith, "is_prime", counted_is_prime)
     monkeypatch.setattr(counting, "is_prime", counted_is_prime)
-    monkeypatch.setattr(scan, "_values_mod_p", counted_values)
     monkeypatch.setattr(counting, "_values_mod_p", counted_values)
-    monkeypatch.setattr(scan, "_count_ext2", counted_ext2)
+    monkeypatch.setattr(counting, "_count_ext2", counted_ext2)
     curve = make_curve(f_coeffs)
     for p in primes:
         record_for_prime(curve, p)
