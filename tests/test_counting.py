@@ -20,10 +20,10 @@ from frobstat.stats import ScanRecord
 
 from oracles import count_ext2, roots_mod_p
 
-# expected counts frozen from a standalone enumerator, which count_points
-# now meets through the L-polynomial that walks every
+# expected counts frozen from a standalone enumerator that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))
-# and adds the points at infinity by testing the leading coefficient
+# and adds the points at infinity by testing the leading coefficient;
+# count_points meets the F_{p^2} counts through the L-polynomial
 BRUTE_COUNTS = {
     (1, 1, 0, 1): {3: (4, 16), 5: (9, 27), 7: (5, 55), 11: (14, 140), 13: (18, 180)},
     (1, 0, 0, 1): {5: (6, 36), 7: (12, 48), 11: (12, 144), 13: (12, 192)},
