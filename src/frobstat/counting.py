@@ -138,7 +138,9 @@ def make_curve(f_coeffs) -> HyperellipticCurve:
 
 def _check_reduction(curve: HyperellipticCurve, p: int) -> None:
     # for odd p not dividing lc(f), f mod p is squarefree iff p does not
-    # divide disc(f)
+    # divide disc(f); the int64 tables hold values below p^2
+    if p * p >= 2**63:
+        raise BadReductionError(p, "p^2 >= 2^63 overflows the int64 tables")
     if p == 2:
         raise BadReductionError(p, "p=2 not supported (y^2 = f degenerates)")
     if not is_prime(p):
@@ -165,8 +167,9 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     one point.  The count over F_{p^2} is read from the L-polynomial of
     frobenius.  Raises BadReductionError for unusable primes and
     WeilBoundError if the result falls outside the Hasse-Weil interval
-    (which would be a bug).  The character table forms values below p^2
-    in int64, exact for p < 3.03e9; its 8p bytes exhaust memory first.
+    (which would be a bug).  The character table and f mod p form values
+    below p^2 in int64, so primes with p^2 >= 2^63 (p > 3037000499) are
+    refused as BadReductionError before any table is built.
     """
     if ext == 1:
         n = _count_ext1(curve, p, *_tables(curve, p))

@@ -2,11 +2,11 @@
 one JSONL record per prime, ascending.
 
 Output is byte-identical for identical configs regardless of thread count:
-helper processes only parallelize the per-prime work.  A prime's cost grows
-with p, so they claim the largest primes first, one at a time, from one
-shared counter; the last primes, claimed while the others are still busy,
-are the cheapest.  The records are put back in claim order and reversed
-before anything is written.
+the processes of a scan, this one and threads - 1 helpers, only parallelize
+the per-prime work.  A prime's cost grows with p, so they claim the largest
+primes first, one at a time, from one shared counter; the last primes,
+claimed while the others are still busy, are the cheapest.  The records are
+sorted by p before anything is written.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ class ScanConfig:
     threads: int = 1
     out: Optional[str] = None
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+
 
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     """The record of one good prime, from counting.frobenius: the F_p
@@ -40,9 +44,9 @@ def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     return ScanRecord(p=p, n1=n1, c1=lp.c1, a1bar=nc.a1, n2=n2, c2=lp.c2, a2bar=nc.a2)
 
 
-def _claim(curve: HyperellipticCurve, primes: list[int], claimed) -> list:
-    """(index, record) of each prime this process claims from the shared
-    counter, one at a time, until every prime is claimed."""
+def _claim(curve: HyperellipticCurve, primes: list[int], claimed) -> list[ScanRecord]:
+    """Records of the primes this process claims from the shared counter,
+    one at a time, until every prime is claimed."""
     done = []
     while True:
         with claimed.get_lock():
@@ -50,45 +54,34 @@ def _claim(curve: HyperellipticCurve, primes: list[int], claimed) -> list:
             claimed.value += 1
         if i >= len(primes):
             return done
-        done.append((i, record_for_prime(curve, primes[i])))
+        done.append(record_for_prime(curve, primes[i]))
 
 
-def _helper(conn, index, curve, primes, claimed) -> None:
-    """Helper process number index: move once onto a CPU of its own, then
-    allow every CPU again (the kernel can keep forked children on their
-    parent's CPU for longer than a short scan lasts), claim primes, and
-    send back their records or the exception that stopped it."""
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
+def _helper(conn, curve, primes, claimed) -> None:
+    """Claim primes and send back their records or the exception that
+    stopped this helper."""
     try:
         conn.send(_claim(curve, primes, claimed))
     except BaseException as exc:
         conn.send(exc)
 
 
-def scan_curve(
-    curve: HyperellipticCurve, n: int, threads: int = 1
-) -> list[ScanRecord]:
-    """Records for every good prime <= n, ascending.  threads is the number
-    of helper processes, capped at the CPU count, because they all start
-    at once; this process only waits for their records."""
-    primes = good_primes(curve, n)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or len(primes) < 4:
-        return [record_for_prime(curve, p) for p in primes]
-    descending = primes[::-1]
+def scan_curve(curve: HyperellipticCurve, n: int, threads: int = 1) -> list[ScanRecord]:
+    """Records for every good prime <= n, ascending.  threads processes,
+    capped at the CPU count, claim primes: this one and threads - 1 helpers
+    started before it begins."""
+    descending = good_primes(curve, n)[::-1]
     claimed = Value("i", 0)
-    helpers, done = [], []
+    helpers = []
     try:
-        for index in range(workers):
+        for _ in range(min(threads, os.cpu_count() or 1) - 1):
             recv, send = Pipe(duplex=False)
-            proc = Process(target=_helper, args=(send, index, curve, descending, claimed))
+            proc = Process(target=_helper, args=(send, curve, descending, claimed))
             proc.start()
             send.close()
             helpers.append((proc, recv))
-        for proc, recv in helpers:
+        done = _claim(curve, descending, claimed)
+        for _, recv in helpers:
             got = recv.recv()
             if isinstance(got, BaseException):
                 raise got
@@ -98,8 +91,7 @@ def scan_curve(
         for proc, _ in helpers:
             proc.terminate()
             proc.join()
-    done.sort(key=lambda item: item[0])
-    return [rec for _, rec in done][::-1]
+    return sorted(done, key=lambda rec: rec.p)
 
 
 def write_records(records: Iterable[ScanRecord], stream: IO[str]) -> None:
@@ -126,10 +118,8 @@ def read_records(stream: IO[str]) -> list[ScanRecord]:
 
 
 def run_scan(config: ScanConfig):
-    """Execute a scan; write JSONL to config.out when set.
-
-    Returns (curve, records).
-    """
+    """Execute a scan and return (curve, records); write JSONL to
+    config.out when set."""
     curve = make_curve(config.f_coeffs)
     records = scan_curve(curve, config.n, config.threads)
     if config.out is not None:

@@ -150,6 +150,20 @@ def test_bad_reduction_rejected_with_reason():
         count_points(curve, 9)  # not prime at all
 
 
+@pytest.mark.parametrize("p", [3037000507, 2**61 - 1])
+def test_primes_past_the_int64_bound_are_refused_first(monkeypatch, p):
+    # the tables form values below p^2 in int64; the bound is checked
+    # before the primality test and before any table is built
+    def must_not_run(*args):
+        raise AssertionError("ran past the int64 bound")
+
+    monkeypatch.setattr(counting, "character_table", must_not_run)
+    monkeypatch.setattr(counting, "is_prime", must_not_run)
+    with pytest.raises(BadReductionError) as info:
+        count_points(make_curve([1, 1, 0, 1]), p)
+    assert info.value.p == p and "2^63" in info.value.reason
+
+
 @given(coeffs=st.lists(st.integers(-9, 9), min_size=4, max_size=7),
        p=st.sampled_from(sieve_primes(60)[1:]))
 @settings(max_examples=300, deadline=None)

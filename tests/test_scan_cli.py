@@ -61,11 +61,22 @@ def test_scan_bytes_identical_across_threads():
         assert _dump(scan_curve(curve, 600, threads=threads)) == base
 
 
+def test_more_processes_than_cpus_claim_each_prime_once(monkeypatch):
+    # four processes share the counter on however many CPUs there are; a
+    # lost update would drop or repeat a prime
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    curve = make_curve(E1)
+    records = scan_curve(curve, 3000, threads=4)
+    assert [r.p for r in records] == good_primes(curve, 3000)
+    assert _dump(records) == _dump(scan_curve(curve, 3000))
+
+
 class _InProcessHelper:
     """Stands in for multiprocessing.Process: counts the helpers started and
     runs each in this process as it starts, so the first one claims every
-    prime and the others find none left.  Each sends its records before
-    anyone reads them, so the scans here stay well inside a pipe's buffer."""
+    prime and the others, and the caller, find none left.  Each sends its
+    records before anyone reads them, so the scans here stay well inside a
+    pipe's buffer."""
 
     started = 0
 
@@ -99,30 +110,23 @@ def in_process_helpers(monkeypatch):
 
 
 def test_scan_pool_capped_at_cpu_count(in_process_helpers):
+    # threads counts this process too, so threads - 1 helpers start
     helpers, _ = in_process_helpers
     curve = make_curve(E1)
     threaded = _dump(scan_curve(curve, 600, threads=10**6))
     cpus = os.cpu_count() or 1
-    assert helpers.started or cpus == 1
-    assert helpers.started <= cpus
+    assert helpers.started == cpus - 1
     assert threaded == _dump(scan_curve(curve, 600))
 
 
-def test_helper_leaves_the_cpu_mask_as_it_found_it():
-    # the helper moves onto its own CPU once, then must allow every CPU
-    # again, so that the kernel may move it later; it claims every prime
-    # left and sends their records back
+def test_helper_claims_every_prime_left():
+    # a helper claims every prime still left and sends their records back
     curve = make_curve(E1)
     primes = good_primes(curve, 300)[::-1]
     claimed = multiprocessing.Value("i", 2)
     recv, send = multiprocessing.Pipe(duplex=False)
-    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    scan._helper(send, 1, curve, primes, claimed)
-    if before is not None:
-        assert os.sched_getaffinity(0) == before
-    got = recv.recv()
-    assert [i for i, _ in got] == list(range(2, len(primes)))
-    assert [r for _, r in got] == [record_for_prime(curve, p) for p in primes[2:]]
+    scan._helper(send, curve, primes, claimed)
+    assert recv.recv() == [record_for_prime(curve, p) for p in primes[2:]]
 
 
 def test_helper_errors_reach_the_caller(monkeypatch):
@@ -134,7 +138,7 @@ def test_helper_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(scan, "record_for_prime", fail)
     curve = make_curve(E1)
     recv, send = multiprocessing.Pipe(duplex=False)
-    scan._helper(send, 0, curve, [7, 5], multiprocessing.Value("i", 0))
+    scan._helper(send, curve, [7, 5], multiprocessing.Value("i", 0))
     got = recv.recv()
     assert isinstance(got, ValueError) and str(got) == "no record at p=7"
     if multiprocessing.get_start_method() == "fork":
@@ -143,16 +147,63 @@ def test_helper_errors_reach_the_caller(monkeypatch):
             scan_curve(curve, 600, threads=2)
 
 
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_failed_scan_leaves_no_helper_running(monkeypatch, where):
+    # the error of a record raises from scan_curve whichever process met
+    # it, and every helper is gone afterwards
+    if where == "helper" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked helpers see the patch")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller, record = os.getpid(), scan.record_for_prime
+
+    def fail(curve, p):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ValueError(f"no record at p={p} in the {where}")
+        return record(curve, p)
+
+    monkeypatch.setattr(scan, "record_for_prime", fail)
+    with pytest.raises(ValueError, match=f"in the {where}"):
+        scan_curve(make_curve(E1), 600, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_scan_pool_hands_out_largest_primes_first(in_process_helpers, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     helpers, claimed = in_process_helpers
     curve = make_curve(E1)
     threaded = _dump(scan_curve(curve, 600, threads=3))
-    assert helpers.started == 3
+    assert helpers.started == 2
     primes = good_primes(curve, 600)
     assert len(claimed) > 3
     assert claimed == primes[::-1]
     assert threaded == _dump(scan_curve(curve, 600))
+
+
+class _IdleHelper(_InProcessHelper):
+    """A helper that claims no prime: it sends no records at all."""
+
+    def start(self):
+        type(self).started += 1
+        self.args[0].send([])
+
+
+def test_caller_scans_every_prime_the_helpers_leave(monkeypatch):
+    monkeypatch.setattr(scan, "Process", _IdleHelper)
+    monkeypatch.setattr(_IdleHelper, "started", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    curve = make_curve(E1)
+    assert _dump(scan_curve(curve, 600, threads=3)) == _dump(scan_curve(curve, 600))
+    assert _IdleHelper.started == 2  # and none for the 1-thread scan
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_refused(tmp_path, threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        ScanConfig(f_coeffs=tuple(E1), n=100, threads=threads)
+    out = tmp_path / "e1.jsonl"
+    argv = ["scan", "--f", "1,1,0,1", "--N", "100", "--threads", str(threads), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
 
 
 def test_jsonl_roundtrip_and_key_order():
