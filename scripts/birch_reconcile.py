@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-prime trace moments: brute force over all curves mod p vs the
+"""Fixed-prime trace moments: the exact tally over all curves mod p vs the
 closed-form polynomials in p, then the drift of M_2d / p^d toward the
 Catalan numbers as p grows.
 
@@ -42,7 +42,7 @@ def trend(pmax):
     header = "  p    " + "".join(f"   d={d} (-> {c})" for d, c in
                                  zip(range(1, 6), CATALAN))
     print(header)
-    rows = {d: dict(catalan_trend(d, primes)) for d in range(1, 6)}
+    rows = catalan_trend(range(1, 6), primes)
     for p in primes[-6:]:
         cells = "".join(f"   {float(rows[d][p]):10.4f}" for d in range(1, 6))
         print(f"  {p:<5}{cells}")

@@ -17,7 +17,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from .birch import ap_distribution, birch_formula, tau_of_prime
+from .birch import ap_distribution, birch_formula, ramanujan_tau
 from .chebotarev import chebotarev_scan, parse_cycles
 from .counting import WeilBoundError
 from .haar import catalog, exact_moment, moment_orders
@@ -191,11 +191,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_birch(args) -> int:
-    primes = [int(t) for t in args.p.split(",") if t]
+    # tally first, so that a bad prime is reported before tau is built
+    dists = [ap_distribution(int(t)) for t in args.p.split(",") if t]
+    pmax = max((dist.p for dist in dists), default=1)
+    taus = ramanujan_tau(pmax) if args.dmax >= 10 else None
     rows = []
-    for p in primes:
-        dist = ap_distribution(p)
-        tau_p = tau_of_prime(p) if args.dmax >= 10 else None
+    for dist in dists:
+        p = dist.p
+        tau_p = taus[p - 1] if taus else None
         for d in range(2, args.dmax + 1, 2):
             brute = dist.moment(d)
             form = birch_formula(p, d, tau_p if d == 10 else None)

@@ -4,9 +4,12 @@ None of these is called by the package itself: they are direct, obviously
 correct versions of quantities the runtime computes another way.
 """
 
+import math
+
 import numpy as np
 
 from frobstat.arith import character_table, poly_trim
+from frobstat.birch import ApDistribution
 from frobstat.laurent import LaurentPoly
 
 
@@ -125,9 +128,32 @@ def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
     return poly_trim(out)
 
 
+def ap_distribution_per_a(p: int) -> ApDistribution:
+    """The tally that frobstat.birch.ap_distribution computed before it ran
+    over twist orbits: a brute force over all p^2 pairs (A, B).
+
+    a(A, B) = -sum_x chi(x^3 + A x + B).  Vectorized per A: the table of
+    chi(x^3 + A x + B) over (x, B) is a pure index shift of the chi table.
+    O(p^3) time and a p x p int64 temporary for every A.
+    """
+    chi = character_table(p)
+    x = np.arange(p, dtype=np.int64)
+    b = np.arange(p, dtype=np.int64)
+    x3 = x * x % p * x % p
+    off = math.isqrt(4 * p) + 1  # traces live in [-2 sqrt p, 2 sqrt p]
+    acc = np.zeros(2 * off + 1, dtype=np.int64)
+    for a_coef in range(p):
+        t = (x3 + a_coef * x) % p  # f(x) - B for this A
+        traces = -chi[(t[:, None] + b[None, :]) % p].sum(axis=0)
+        disc_zero = (4 * a_coef**3 + 27 * b * b) % p == 0
+        acc += np.bincount(traces[~disc_zero] + off, minlength=2 * off + 1)
+    counts = {int(a - off): int(c) for a, c in enumerate(acc) if c}
+    return ApDistribution(p=p, counts=counts, total=sum(counts.values()))
+
+
 def singular_count(p: int) -> int:
-    """Direct count of (A, B) with 4A^3 + 27B^2 = 0 mod p (independent of
-    ap_distribution's masking; used to verify it equals p)."""
+    """Direct count of (A, B) with 4A^3 + 27B^2 = 0 mod p, to verify that it
+    equals p, as ap_distribution's total p^2 - p assumes."""
     n = 0
     for a in range(p):
         for b in range(p):

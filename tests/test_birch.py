@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from frobstat.arith import sieve_primes
 from frobstat.birch import (
     ap_distribution,
     birch_formula,
@@ -11,7 +13,7 @@ from frobstat.birch import (
 )
 from frobstat.haar import closed_form_moment
 
-from oracles import singular_count
+from oracles import ap_distribution_per_a, singular_count
 
 
 def _slow_distribution(p):
@@ -43,12 +45,36 @@ def test_distribution_matches_direct_double_loop(p):
     assert dist.total == p * p - p
 
 
+@pytest.mark.parametrize("p", [p for p in sieve_primes(200) if p >= 5] + [307])
+def test_orbit_tally_matches_per_a_brute_force(p):
+    dist = ap_distribution(p)
+    oracle = ap_distribution_per_a(p)
+    assert dist.counts == oracle.counts
+    assert dist.total == oracle.total
+    assert list(dist.counts) == sorted(dist.counts)
+
+
+def test_tally_memory_stays_linear():
+    # one p x p int64 temporary alone would be 8 MB at this p; the brute
+    # force is out of reach here (about 15 s), so the moment tests below
+    # carry p = 1009's exact identities
+    p = 1009
+    tracemalloc.start()
+    try:
+        dist = ap_distribution(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dist.total == p * p - p
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_singular_locus_has_exactly_p_points(p):
     assert singular_count(p) == p
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1009])
 def test_even_moment_formulas_reconcile_exactly(p):
     dist = ap_distribution(p)
     for d in (2, 4, 6, 8):
@@ -56,7 +82,7 @@ def test_even_moment_formulas_reconcile_exactly(p):
     assert dist.moment(10) == birch_formula(p, 10, tau_p=tau_of_prime(p))
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1009])
 def test_odd_moments_vanish_and_twists_pair_up(p):
     dist = ap_distribution(p)
     for d in (1, 3, 5, 7, 9):
@@ -120,14 +146,15 @@ def test_tau_multiplicativity_spot():
 
 
 def test_normalized_moments_approach_catalan_numbers():
-    rows = dict(catalan_trend(2, [13, 97]))
+    trend = catalan_trend(range(1, 6), [13, 97])
+    rows = trend[2]
     catalan2 = closed_form_moment("catalan", 2)  # 2
     assert abs(rows[97] - catalan2) < Fraction(5, 97)
     assert abs(rows[97] - catalan2) < abs(rows[13] - catalan2)
     for d in (1, 3, 4):
-        (pp, val), = catalan_trend(d, [97])
+        val = trend[d][97]
         assert abs(val - closed_form_moment("catalan", d)) < Fraction(5, 97)
     # d = 5 converges only like 1/sqrt(p): the tau term contributes
     # tau(97)/97^6, and |tau(p)| can be as large as 2 p^{11/2}
-    (pp, val), = catalan_trend(5, [97])
+    val = trend[5][97]
     assert abs(val - closed_form_moment("catalan", 5)) < Fraction(1, 4)

@@ -343,6 +343,20 @@ def test_cli_birch(tmp_path):
     assert lut[("5", "2")] == "24/5"
 
 
+def test_cli_birch_builds_tau_once(tmp_path, monkeypatch):
+    sizes = []
+    real = cli.ramanujan_tau
+    monkeypatch.setattr(cli, "ramanujan_tau", lambda n: sizes.append(n) or real(n))
+    assert cli.main(["birch", "--p", "5,11,7", "--out", str(tmp_path / "b.csv")]) == 0
+    assert sizes == [11]
+
+
+@pytest.mark.parametrize("primes", ["4", "-7", "5,-7"])
+def test_cli_birch_bad_prime_exit_2(primes, capsys):
+    assert cli.main(["birch", "--p", primes]) == 2
+    assert "need a prime" in capsys.readouterr().err
+
+
 def test_cli_chebotarev(tmp_path):
     out = tmp_path / "cheb.csv"
     assert cli.main(
