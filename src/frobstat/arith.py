@@ -2,9 +2,9 @@
 
 Everything here is exact integer arithmetic.  The quadratic character table
 (an int64 array indexed by residue, so the counting modules index it with
-whole arrays of values) and dense polynomials over F_p for the
-factorization-shape scan are the only pieces of field theory the rest of
-the package needs.  A polynomial over F_p is a plain list of ascending
+whole arrays of values) and dense polynomials over F_p for the Jacobian
+walk in hasse_witt are the only pieces of field theory the rest of the
+package needs.  A polynomial over F_p is a plain list of ascending
 coefficients, each a residue in [0, p), with no trailing zeros ([] is
 zero); the functions take p as their last argument.  poly_trim is the one
 place that strips trailing zeros, also for integer coefficient lists.
@@ -108,16 +108,6 @@ def poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int
     return quot, poly_trim(r)
 
 
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p (Euclid); gcd(0, 0) = 0."""
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
 def poly_xgcd(
     a: list[int], b: list[int], p: int
 ) -> tuple[list[int], list[int], list[int]]:
@@ -133,21 +123,3 @@ def poly_xgcd(
         return [], [], []
     inv = pow(r0[-1], p - 2, p)
     return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
-
-
-def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod f by square and multiply; e >= 0."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = [1]
-    acc = poly_divmod(base, f, p)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul(result, acc, p), f, p)[1]
-        acc = poly_divmod(poly_mul(acc, acc, p), f, p)[1]
-        e >>= 1
-    return result
-
-
-def poly_derivative(a: list[int], p: int) -> list[int]:
-    return poly_trim([i * c % p for i, c in enumerate(a)][1:])

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from frobstat.arith import character_table, poly_trim
+from frobstat.arith import character_table, poly_divmod, poly_mul, poly_sub, poly_trim
 from frobstat.birch import ApDistribution
+from frobstat.chebotarev import SkippedPrimeError
 from frobstat.laurent import LaurentPoly
 
 
@@ -126,6 +127,69 @@ def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
     return poly_trim(out)
+
+
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p (Euclid); gcd(0, 0) = 0."""
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e mod f by square and multiply; e >= 0."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = [1]
+    acc = poly_divmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(poly_mul(result, acc, p), f, p)[1]
+        acc = poly_divmod(poly_mul(acc, acc, p), f, p)[1]
+        e >>= 1
+    return result
+
+
+def poly_derivative(a: list[int], p: int) -> list[int]:
+    return poly_trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def factorization_shape_ddf(f_coeffs, p: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of f mod p, ascending, by
+    distinct-degree splitting one prime at a time: gcd(x^{p^i} - x, f)
+    collects exactly the degree-i factors.  Raises SkippedPrimeError when p
+    divides the leading coefficient or f mod p is not squarefree."""
+    coeffs = poly_trim([int(a) for a in f_coeffs])
+    if len(coeffs) < 2:
+        raise ValueError("need deg f >= 1")
+    if coeffs[-1] % p == 0:
+        raise SkippedPrimeError(f"p={p} divides the leading coefficient")
+    f = [a % p for a in coeffs]
+    if len(poly_gcd(f, poly_derivative(f, p), p)) != 1:
+        raise SkippedPrimeError(f"f is not squarefree mod p={p}")
+
+    shape: list[int] = []
+    x = [0, 1]
+    h = poly_divmod(x, f, p)[1]  # x^{p^0 * 1}; powered up once per round
+    d = 0
+    while len(f) > 1:
+        d += 1
+        deg = len(f) - 1
+        if 2 * d > deg:
+            # whatever remains has no factor of degree <= deg/2: irreducible
+            shape.append(deg)
+            break
+        h = poly_powmod(h, p, f, p)
+        g = poly_gcd(f, poly_sub(h, x, p), p)
+        if len(g) > 1:
+            assert (len(g) - 1) % d == 0
+            shape.extend([d] * ((len(g) - 1) // d))
+            f = poly_divmod(f, g, p)[0]
+            h = poly_divmod(h, f, p)[1]
+    return tuple(sorted(shape))
 
 
 def ap_distribution_per_a(p: int) -> ApDistribution:

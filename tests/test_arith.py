@@ -7,18 +7,24 @@ from frobstat import arith
 from frobstat.arith import (
     character_table,
     is_prime,
-    poly_derivative,
     poly_divmod,
-    poly_gcd,
     poly_mul,
-    poly_powmod,
     poly_sub,
     poly_trim,
     poly_xgcd,
     sieve_primes,
 )
 
-from oracles import chi2_direct, fp2_mul, legendre, poly_add, smallest_nonresidue
+from oracles import (
+    chi2_direct,
+    fp2_mul,
+    legendre,
+    poly_add,
+    poly_derivative,
+    poly_gcd,
+    poly_powmod,
+    smallest_nonresidue,
+)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobstat import chebotarev
+from frobstat.arith import sieve_primes
 from frobstat.chebotarev import (
     PartitionStats,
     SkippedPrimeError,
@@ -15,6 +19,8 @@ from frobstat.chebotarev import (
     factorization_shape,
     parse_cycles,
 )
+
+from oracles import factorization_shape_ddf
 
 X3_MINUS_2 = [-2, 0, 0, 1]
 
@@ -38,9 +44,10 @@ def test_shape_skips_bad_primes():
 
 
 def _slow_shape(coeffs, p):
-    """Trial-division factorization for deg <= 4, independent of the
-    distinct-degree code: strip roots, then split the rootless remainder by
-    testing divisibility by every monic irreducible quadratic."""
+    """Trial-division factorization for deg <= 4, independent of the rank
+    test and of the distinct-degree oracle: strip roots, then split the
+    rootless remainder by testing divisibility by every monic irreducible
+    quadratic."""
     cs = [c % p for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -207,12 +214,101 @@ def test_scan_rejects_wrong_degree_group():
         chebotarev_scan(X3_MINUS_2, gens, 100)
 
 
-def test_scan_rejects_impossible_shape():
-    # claiming Galois group C3 for x^3 - 2 breaks at the first (1, 2) shape
-    gens = [parse_cycles("(1 2 3)", 3)]
-    with pytest.raises(ValueError) as info:
-        chebotarev_scan(X3_MINUS_2, gens, 100)
-    assert "impossible" in str(info.value)
+def test_scan_rejects_impossible_shape(monkeypatch):
+    # the error names the smallest such p, also when each pass holds only a
+    # few primes
+    for block in (2048, 3):
+        monkeypatch.setattr(chebotarev, "_BLOCK", block)
+        # claiming Galois group C3 for x^3 - 2 breaks at the first (1, 2)
+        # shape, p = 5
+        gens = [parse_cycles("(1 2 3)", 3)]
+        with pytest.raises(ValueError, match=r"shape \(1, 2\) at p=5 is impossible"):
+            chebotarev_scan(X3_MINUS_2, gens, 100)
+        # C4 has neither (1, 3), first seen for x^4 - x - 1 at p = 7, nor
+        # (1, 1, 2), first seen at p = 17
+        gens = [parse_cycles("(1 2 3 4)", 4)]
+        with pytest.raises(ValueError, match=r"shape \(1, 3\) at p=7 is impossible"):
+            chebotarev_scan([-1, -1, 0, 0, 1], gens, 1000)
+
+
+def test_scan_tallies_do_not_depend_on_the_block_size(monkeypatch):
+    gens = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+    whole = chebotarev_scan([-1, -1, 0, 0, 1], gens, 3000)
+    monkeypatch.setattr(chebotarev, "_BLOCK", 7)
+    assert chebotarev_scan([-1, -1, 0, 0, 1], gens, 3000) == whole
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_scan_without_a_usable_prime_is_refused(n):
+    # x^3 - 2 is bad at 2 and 3, so no prime <= 3 counts
+    gens = [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]
+    with pytest.raises(ValueError, match="no prime <= "):
+        chebotarev_scan(X3_MINUS_2, gens, n)
+
+
+def test_primes_past_the_int64_bound_are_refused_first(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(chebotarev, "sieve_primes", no_sieve)
+    gens = [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]
+    with pytest.raises(ValueError, match="2\\^31"):
+        chebotarev_scan(X3_MINUS_2, gens, 2**31)
+    for p in (2**31 + 11, 2**61 - 1):
+        with pytest.raises(ValueError, match="2\\^31") as info:
+            factorization_shape(X3_MINUS_2, p)
+        assert not isinstance(info.value, SkippedPrimeError)
+    # the largest prime below the bound still works
+    assert sum(factorization_shape(X3_MINUS_2, 2**31 - 1)) == 3
+
+
+def _oracle_polys() -> list[list[int]]:
+    """45 seeded integer polynomials of degree 1..9: leading coefficients
+    that are negative, divisible by small primes or past 2^63, f(0) = 0
+    for every fourth, and every fourth of degree >= 2 congruent mod 15 to
+    (x - a)^2 g, so not squarefree mod 3 and mod 5."""
+    rng = random.Random(13)
+    polys = []
+    for i in range(45):
+        deg = 1 + i % 9
+        lead = rng.choice([1, -1, 2, -3, 6, -35, 210, 10**20 + 3])
+        f = [rng.randint(-40, 40) for _ in range(deg)] + [lead]
+        if i % 4 == 1:
+            f[0] = 0
+        if i % 4 == 3 and deg >= 2:
+            a = rng.randint(-5, 5)
+            g = [rng.randint(-9, 9) for _ in range(deg - 2)] + [lead]
+            square = [int(c) for c in np.convolve([a * a, -2 * a, 1], g)]
+            f = [c + 15 * rng.randint(-3, 3) for c in square[:-1]] + [lead]
+        polys.append(f)
+    return polys
+
+
+def test_shapes_match_the_distinct_degree_oracle_below_3000():
+    primes = sieve_primes(2999)
+    skips = {"lc": 0, "squarefree": 0}
+    for f in _oracle_polys():
+        shapes = chebotarev._block_shapes(f, primes)
+        got = {p: shape for shape, ps in shapes.items() for p in ps}
+        for p in primes:
+            try:
+                want = factorization_shape_ddf(f, p)
+            except SkippedPrimeError:
+                skips["lc" if f[-1] % p == 0 else "squarefree"] += 1
+                want = None
+            assert got.get(p) == want, (f, p)
+        assert all(ps == sorted(ps) for ps in shapes.values())
+    # the seeded set reaches both kinds of skipped prime
+    assert skips["lc"] > 0 and skips["squarefree"] > 0
+
+
+@pytest.mark.parametrize("n", [10, 1000, 3001])
+def test_scan_counts_every_prime_once(n):
+    gens = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+    for f in ([-1, -1, 0, 0, 1], [0, 3, 0, 0, -6]):
+        stats = chebotarev_scan(f, gens, n)
+        assert stats.primes_used + stats.primes_skipped == len(sieve_primes(n))
+        assert sum(stats.observed.values()) == stats.primes_used
 
 
 def test_partition_stats_frequency():

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobstat import counting
-from frobstat.arith import character_table, poly_derivative, poly_gcd, sieve_primes
+from frobstat.arith import character_table, sieve_primes
 from frobstat.counting import (
     BadReductionError,
     count_points,
@@ -18,7 +18,7 @@ from frobstat.lpoly import weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import count_ext2, roots_mod_p
+from oracles import count_ext2, poly_derivative, poly_gcd, roots_mod_p
 
 # expected counts frozen from a standalone enumerator that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))

@@ -20,7 +20,7 @@ from frobstat.lpoly import lpoly_from_counts, normalize, weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import count_ext2, legendre, roots_mod_p
+from oracles import count_ext2, legendre, poly_derivative, poly_gcd, roots_mod_p
 
 PRIMES = sieve_primes(2000)[1:]
 
@@ -52,8 +52,7 @@ def must_not_count(curve, p, chi):
 
 
 def squarefree(F, p):
-    derivative = arith.poly_trim([i * c % p for i, c in enumerate(F)][1:])
-    return arith.poly_gcd(F, derivative, p) == [1]
+    return poly_gcd(F, poly_derivative(F, p), p) == [1]
 
 
 def test_hasse_witt_matches_the_coefficients_of_the_power():

@@ -370,6 +370,15 @@ def test_cli_chebotarev(tmp_path):
     assert all(float(r[4]) < 0.1 for r in rows[1:])
 
 
+@pytest.mark.parametrize("n,message", [("3", "no prime <= 3"), ("0", "no prime <= 0"),
+                                       ("2147483648", "2^31")])
+def test_cli_chebotarev_refused_bound_exit_2(n, message, capsys):
+    # x^3 - 2 has bad reduction at 2 and 3, so N = 3 leaves no prime to count
+    argv = ["chebotarev", "--poly=-2,0,0,1", "--group", "(1 2);(1 2 3)", "--N", n]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # singular curve: discriminant zero
     assert cli.main(["scan", "--f", "0,0,0,1", "--N", "50"]) == 2
