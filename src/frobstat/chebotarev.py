@@ -21,7 +21,8 @@ these leave is one irreducible factor.
 
 The int64 arithmetic is exact while p^2 + p < 2^63 (a product of two
 residues plus a residue), so primes must lie below 2^31.  The primes run
-in blocks of a fixed size, so the numpy working set does not grow with N.
+in blocks of a fixed size from the segmented sieve arith.prime_blocks, so
+neither the primes held nor the numpy working set grows with N.
 
 Partitions appear as ascending tuples, e.g. (1, 2) for a linear times a
 quadratic factor.
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import poly_trim, sieve_primes
+from .arith import poly_trim, prime_blocks
 
 # every prime below this has p^2 + p < 2^63, so int64 residue arithmetic is exact
 _P_BOUND = 2**31
@@ -280,9 +281,10 @@ def chebotarev_scan(
     predicted = cycle_type_distribution(generators)
     assert sum(predicted.values()) == 1
     observed: dict[tuple[int, ...], int] = {}
-    primes = sieve_primes(n)
-    for start in range(0, len(primes), _BLOCK):
-        shapes = _block_shapes(coeffs, primes[start : start + _BLOCK])
+    seen = 0
+    for primes in prime_blocks(n, _BLOCK):
+        seen += len(primes)
+        shapes = _block_shapes(coeffs, primes)
         wrong = [(ps[0], shape) for shape, ps in shapes.items() if shape not in predicted]
         if wrong:
             p, shape = min(wrong)
@@ -296,5 +298,5 @@ def chebotarev_scan(
         predicted=predicted,
         observed=dict(sorted(observed.items())),
         primes_used=used,
-        primes_skipped=len(primes) - used,
+        primes_skipped=seen - used,
     )

@@ -10,6 +10,10 @@ scan.record_for_prime: one reduction check, one character table and one
 array of f mod p feed the F_p count and the L-polynomial (hasse_witt in
 genus 2), which gives the count over F_{p^2}.  F_{p^2} is enumerated only
 where the Jacobian points leave c2 open, as for x^5 - x at p = 3 and 5.
+
+f mod p is evaluated on half of F_p: the even and odd parts of f at
+s = x^2 for x = 1..(p-1)/2 give f(x) and f(-x) at once, as the character
+table marks only the squares of that half.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import character_table, is_prime, poly_trim, sieve_primes
+from .arith import character_table, is_prime, poly_trim, reduce_mod, sieve_primes
 from .hasse_witt import hasse_witt_lpoly
 from .lpoly import LPoly, lpoly_from_counts, predicted_count
 
@@ -205,11 +209,34 @@ def _tables(curve: HyperellipticCurve, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
-    """f(x) mod p at every x in F_p by Horner; coeffs ascending, reduced."""
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for a in reversed(coeffs):
-        acc = (acc * x + a) % p
+    """f(x) mod p at every x in F_p, from f's even and odd parts on half of
+    F_p; coeffs ascending, reduced, p an odd prime.
+
+    With f(x) = E(x^2) + x O(x^2), s = x^2 and t = x O(s) for x = 1..(p-1)/2
+    give f(x) = E(s) + t and f(-x) = E(s) - t, each brought into [0, p) by
+    one conditional p.  The largest int64 intermediate is a Horner step
+    acc * s + a <= (p-1)^2 + p - 1 < p^2, exact for every p with
+    p^2 < 2^63, which _check_reduction enforces first.
+    """
+    half = (p - 1) // 2
+    x = np.arange(1, half + 1, dtype=np.int64)
+    s = reduce_mod(x * x, p)
+    even = _horner(coeffs[0::2], s, p)
+    t = reduce_mod(_horner(coeffs[1::2], s, p) * x, p)
+    out = np.empty(p, dtype=np.int64)
+    out[0] = coeffs[0]
+    np.add(even, t, out=out[1 : half + 1])
+    np.subtract(even + p, t, out=out[:half:-1])  # f(p - x) = f(-x)
+    np.subtract(out, p, out=out, where=out >= p)
+    return out
+
+
+def _horner(coeffs: list[int], s: np.ndarray, p: int) -> np.ndarray | int:
+    """sum coeffs[i] s^i mod p at every s, by Horner; coeffs ascending,
+    reduced.  A list of at most one coefficient gives that int (0 if empty)."""
+    acc = coeffs[-1] if coeffs else 0
+    for a in coeffs[-2::-1]:
+        acc = reduce_mod(acc * s + a, p)
     return acc
 
 

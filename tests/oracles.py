@@ -106,6 +106,16 @@ def count_ext2(curve, p: int) -> int:
     return affine + inf
 
 
+def values_mod_p_horner(coeffs: list[int], p: int) -> np.ndarray:
+    """f(x) mod p at every x in F_p by Horner over all of F_p; coeffs
+    ascending, reduced."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for a in reversed(coeffs):
+        acc = (acc * x + a) % p
+    return acc
+
+
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """The roots in F_p of the integer polynomial f, ascending, from
     sum f_i x^i evaluated at every x with a running power of x."""

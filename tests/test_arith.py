@@ -12,6 +12,8 @@ from frobstat.arith import (
     poly_sub,
     poly_trim,
     poly_xgcd,
+    prime_blocks,
+    reduce_mod,
     sieve_primes,
 )
 
@@ -39,6 +41,43 @@ def test_sieve_inclusive_endpoint():
     assert sieve_primes(13)[-1] == 13
     assert len(sieve_primes(100)) == 25
     assert len(sieve_primes(8192)) == 1028
+
+
+def _plain_sieve(n):
+    mark = [True] * (n + 1)
+    for q in range(2, n + 1):
+        for m in range(q * q, n + 1, q):
+            mark[m] = False
+    return [q for q in range(2, n + 1) if mark[q]]
+
+
+@pytest.mark.parametrize("window", [16, 1000, 2**15])
+def test_sieve_windows_match_a_plain_sieve(monkeypatch, window):
+    # small windows put many window edges, and primes on them, below n
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    for n in (0, 1, 2, 3, 4, 15, 16, 17, 120, 121, 1000, 1009, 70000):
+        assert sieve_primes(n) == _plain_sieve(n), (window, n)
+
+
+@pytest.mark.parametrize("size", [1, 7, 2048, 10**6])
+def test_prime_blocks_hand_out_every_prime_once(size):
+    for n in (1, 2, 100, 2**15 + 3, 10**5):
+        blocks = list(prime_blocks(n, size))
+        assert [q for b in blocks for q in b] == sieve_primes(n)
+        assert all(len(b) == size for b in blocks[:-1])
+        assert all(0 < len(b) <= size for b in blocks)
+
+
+@pytest.mark.parametrize("size", [7, 511, 512, 4000])
+def test_reduce_mod_matches_remainder_in_place(size):
+    # both sides of the 512-element switch between a % p and a - (a // p) * p
+    p = 3037000493
+    edges = [0, 1, p - 1, p, p + 1, (p - 1) ** 2 + p - 1, 2**63 - 1]
+    a = np.resize(np.array(edges, dtype=np.int64), size)
+    a[len(edges):] = np.random.default_rng(size).integers(0, 2**63 - 1, size - len(edges))
+    want = a % p
+    assert reduce_mod(a, p) is a
+    assert (a == want).all()
 
 
 def test_character_table_basic_values():

@@ -1,11 +1,13 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobstat import counting
-from frobstat.arith import character_table, sieve_primes
+from frobstat.arith import character_table, is_prime, sieve_primes
 from frobstat.counting import (
     BadReductionError,
     count_points,
@@ -18,7 +20,7 @@ from frobstat.lpoly import weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import count_ext2, poly_derivative, poly_gcd, roots_mod_p
+from oracles import count_ext2, poly_derivative, poly_gcd, roots_mod_p, values_mod_p_horner
 
 # expected counts frozen from a standalone enumerator that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))
@@ -162,6 +164,58 @@ def test_primes_past_the_int64_bound_are_refused_first(monkeypatch, p):
     with pytest.raises(BadReductionError) as info:
         count_points(make_curve([1, 1, 0, 1]), p)
     assert info.value.p == p and "2^63" in info.value.reason
+
+
+def test_the_largest_admitted_prime_keeps_the_tables_inside_int64():
+    # the bound of _check_reduction, with Python integers: nothing is
+    # allocated.  isqrt(2^63 - 1) = 3037000499 is composite, so the largest
+    # prime admitted is 3037000493 and the next prime is refused
+    bound, p, next_prime = math.isqrt(2**63 - 1), 3037000493, 3037000507
+    assert bound == 3037000499 and not is_prime(bound)
+    assert is_prime(p) and is_prime(next_prime)
+    assert not any(is_prime(q) for q in range(p + 1, next_prime))
+    assert p * p < 2**63 <= next_prime * next_prime
+    counting._check_reduction(make_curve([1, 1, 0, 1]), p)
+    for q in (p, bound):
+        half = (q - 1) // 2
+        # x^2, a Horner step acc * s + a, x * O(s) and E - t + q in
+        # _values_mod_p; x^2 in character_table
+        assert half * half < q * q
+        assert (q - 1) * (q - 1) + q - 1 < q * q
+        assert half * (q - 1) < q * q
+        assert 2 * q - 1 < q * q < 2**63
+
+
+def _kernel_cases() -> list[list[int]]:
+    """46 seeded integer coefficient lists of length 1..7: sparse ones with
+    only an even or only an odd part, f(0) = 0, and -1 (p - 1 once
+    reduced), beside 36 random ones."""
+    cases = [[1, 0, 0, 1], [1, 0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0, 0, 1],
+             [0, 1], [5], [0], [-1] * 7, [-1, 0, -1, 0, -1, 0, -1], [0, -1, 0, -1, 0, -1]]
+    rng = random.Random(20)
+    for i in range(36):
+        f = [rng.randint(-50, 50) for _ in range(1 + i % 7)]
+        if i % 3 == 0:
+            f[0] = 0
+        if i % 5 == 0:
+            f[rng.randrange(len(f))] = -1
+        if i % 4 == 0:
+            f[-1] = rng.choice([10**12 + 39, -(2**62) - 1])
+        cases.append(f)
+    return cases
+
+
+def test_half_range_values_match_horner_below_3000():
+    cases = _kernel_cases()
+    assert len(cases) >= 40 and {len(f) for f in cases} == set(range(1, 8))
+    mismatches = []
+    for p in sieve_primes(2999)[1:]:
+        for f in cases:
+            coeffs = [a % p for a in f]
+            got = counting._values_mod_p(coeffs, p)
+            if got.dtype != np.int64 or not (got == values_mod_p_horner(coeffs, p)).all():
+                mismatches.append((f, p))
+    assert mismatches == []
 
 
 @given(coeffs=st.lists(st.integers(-9, 9), min_size=4, max_size=7),
