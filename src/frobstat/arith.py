@@ -89,11 +89,14 @@ def character_table(p: int) -> np.ndarray:
     """Legendre symbols mod an odd prime p: chi[a] in {-1, 0, +1} for a in
     0..p-1, as int64, with chi[0] = 0.
 
-    Only the (p-1)/2 squares x^2 with 1 <= x <= (p-1)/2 are marked, since
-    (-x)^2 = x^2.  x^2 < p^2 / 4, so the int64 arithmetic is exact for
-    every p with p^2 < 2^63, the bound counting enforces first.
+    p must be prime, which is not tested here: the callers
+    (counting._check_reduction, birch.ap_distribution) test it first, and
+    an odd composite p gives a table of no meaning.  Only the (p-1)/2
+    squares x^2 with 1 <= x <= (p-1)/2 are marked, since (-x)^2 = x^2.
+    x^2 < p^2 / 4, so the int64 arithmetic is exact for every p with
+    p^2 < 2^63, the bound counting enforces first.
     """
-    if p == 2 or not is_prime(p):
+    if p < 3 or p % 2 == 0:
         raise ValueError(f"character table needs an odd prime, got {p}")
     x = np.arange(1, (p + 1) // 2, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)

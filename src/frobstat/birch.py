@@ -12,7 +12,8 @@ point (t, t), t = A^3 / B^2; half of its curves have trace a(t, t) and half
 character sums of length p: O(p^2) time and O(p) memory.
 
 Even power moments of a admit exact closed forms in p; the tenth brings in
-the Ramanujan tau function.  Everything here is exact (Fraction / int).
+the Ramanujan tau function, read from the 8th power of Jacobi's series for
+eta^3.  Everything here is exact (Fraction / int).
 """
 
 from __future__ import annotations
@@ -98,37 +99,25 @@ def birch_formula(p: int, d: int, tau_p: Optional[int] = None) -> Fraction:
 def ramanujan_tau(nmax: int) -> list[int]:
     """[tau(1), ..., tau(nmax)] via q * prod_{n>=1} (1 - q^n)^24.
 
-    The Euler product is the sparse pentagonal-number series
-    sum_k (-1)^k q^{k(3k-1)/2}; the 24th power is taken as 24 successive
-    multiplications by that series, each linear in the series length.
+    By Jacobi's identity prod (1 - q^n)^3 is the sparse series
+    sum_k (-1)^k (2k+1) q^(k(k+1)/2), so the product is its 8th power,
+    taken as eight multiplications by that series, each linear in the
+    series length.
     """
     if nmax < 1:
         raise ValueError("nmax >= 1")
-    m = nmax  # need coefficients of q^0 .. q^{nmax-1} in E(q)^24
-    pent = []  # (exponent, sign)
-    k = 1
-    while True:
-        for kk in (k, -k):
-            e = kk * (3 * kk - 1) // 2
-            if e < m:
-                pent.append((e, -1 if k % 2 else 1))
-        if k * (3 * k - 1) // 2 >= m and k * (3 * k + 1) // 2 >= m:
-            break
+    terms = []  # (exponent, coefficient) below nmax
+    k = 0
+    while k * (k + 1) // 2 < nmax:
+        terms.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    pent.sort()
-    coeffs = [0] * m
-    coeffs[0] = 1
-    for _ in range(24):
-        new = [0] * m
-        for e, s in [(0, 1)] + [(e, s) for e, s in pent if e > 0]:
-            if s == 1:
-                for i in range(m - e):
-                    new[i + e] += coeffs[i]
-            else:
-                for i in range(m - e):
-                    new[i + e] -= coeffs[i]
+    coeffs = [1] + [0] * (nmax - 1)  # of q^0 .. q^(nmax-1)
+    for _ in range(8):
+        new = [0] * nmax
+        for e, c in terms:
+            new[e:] = [a + c * b for a, b in zip(new[e:], coeffs)]
         coeffs = new
-    return [coeffs[n - 1] for n in range(1, nmax + 1)]
+    return coeffs
 
 
 def tau_of_prime(p: int) -> int:

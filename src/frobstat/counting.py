@@ -1,7 +1,8 @@
 """Point counting on hyperelliptic curves y^2 = f(x) over F_p and F_{p^2}.
 
-f has integer coefficients and degree 3..6, so the smooth model has genus 1
-or 2.  Counts are affine character sums plus the points at infinity of the
+f has integer coefficients, degree 3..6 and a nonzero discriminant (from
+Euclid's resultant of f and f'), so the smooth model has genus 1 or 2.
+Counts are affine character sums plus the points at infinity of the
 smooth model: one point for odd deg f, and for even deg f two points when
 the leading coefficient is a square in the field (always true in F_{p^2}).
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,55 +43,34 @@ class WeilBoundError(RuntimeError):
     """A computed count violated the Hasse-Weil bound (internal bug guard)."""
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def poly_discriminant(coeffs: list[int]) -> int:
     """Discriminant of f given ascending integer coefficients.
 
-    disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), computed exactly via the
-    Sylvester determinant.
+    disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f of degree n.  The
+    resultant comes from Euclid's algorithm over the rationals:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, Res(a, b) = 0 when r = 0 and deg b > 0, and
+    Res(a, c) = c^(deg a) for a constant c.
     """
-    c = poly_trim(list(coeffs))
-    n = len(c) - 1
+    a = [Fraction(c) for c in poly_trim(list(coeffs))]
+    n = len(a) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    deriv = [i * a for i, a in enumerate(c)][1:]
-    m = len(deriv) - 1  # n - 1 since char 0
-    size = n + m
-    desc_f = c[::-1]
-    desc_g = deriv[::-1]
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + desc_f + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + desc_g + [0] * (size - m - 1 - i))
-    res = _bareiss_det(rows)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    lead = c[-1]
-    assert res % lead == 0
-    return sign * (res // lead)
+    b = [i * c for i, c in enumerate(a)][1:]
+    res = Fraction((-1) ** (n * (n - 1) // 2), a[-1])
+    while len(b) > 1:
+        r = a[:]
+        while len(r) >= len(b):
+            q = r.pop() / b[-1]
+            shift = len(r) + 1 - len(b)
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= q * c
+            poly_trim(r)
+        if not r:
+            return 0
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(res * b[0] ** (len(a) - 1))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ Jacobian, tested by Cantor's algorithm on a monic model
 ANTS VIII, 2008).  This costs O(p) operations on Python integers against
 the O(p^2) of counting over F_{p^2}.
 
-The path holds at every odd good prime.  The model is a quintic for every
-quintic and for a sextic with a root mod p, read from the values of f that
-the F_p count evaluates.  A sextic without one keeps a real model of
-degree 6, whose divisor classes are balanced divisors
-(Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic arithmetic
-using balanced representation for divisors", ANTS VIII, 2008).  Where
-the Jacobian points leave more than one candidate, which no prime above 7
-has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
+The path holds at every odd good prime.  The model is f over its leading
+coefficient, the curve or its quadratic twist, whose Jacobian has order
+P(-1); a sextic with a root mod p is first made a quintic.  A sextic
+without one keeps a real model of degree 6, whose classes are balanced
+divisors (Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic
+arithmetic using balanced representation for divisors", ANTS VIII, 2008).
+Where the Jacobian points leave more than one candidate, which no prime
+above 7 has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
 """
 
 from __future__ import annotations
@@ -98,35 +98,23 @@ def hasse_witt(f: list[int], p: int) -> tuple[int, int]:
     return (w11 + w22) % p, (w11 * w22 - w12 * w21) % p
 
 
-def monic_model(f: list[int], p: int, chi: np.ndarray, values: np.ndarray) -> Optional[list[int]]:
-    """A monic F with y^2 = F(x) isomorphic over F_p to y^2 = f(x), given
-    the character table chi and values = f mod p at every x in F_p; None
-    when f is a sextic and the curve has no F_p-point at all.
+def monic_model(
+    f: list[int], p: int, chi: np.ndarray, values: np.ndarray
+) -> tuple[list[int], int]:
+    """(F, s) with F = g / lc(g) monic and s = chi(lc(g)), given the
+    character table chi and values = f mod p at every x in F_p.
 
-    F is a quintic for a quintic f and for a sextic with a root r mod p,
-    the first x where values vanishes: t = 1/(x - r) turns the sextic into
-    the quintic t^6 f(r + 1/t).  A quintic with leading coefficient c
-    becomes monic under x = X/c, Y = c^2 y, with coefficients f_i c^(4-i).
-
-    A sextic with no root mod p keeps degree 6, a real model with two
-    points at infinity.  When its leading coefficient c is a square,
-    Y = y / sqrt(c) gives F = f / c.  When it is not, the points (x0, +-y0)
-    for the first x0 where f(x0) is a square go to infinity first:
-    t^6 f(x0 + 1/t) has leading coefficient f(x0).
+    g is f itself, except for a sextic with a root r mod p, the first x
+    where values vanishes: t = 1/(x - r) turns it into the quintic
+    g = t^6 f(r + 1/t).  y^2 = F(x) is isomorphic to y^2 = g(x) when s = 1,
+    and is its quadratic twist when s = -1, whose L-polynomial is P(-T):
+    the same c2 with -c1.  F is a quintic, or a real model of degree 6
+    with two points at infinity.
     """
-    if len(f) == 7:
-        root = int(np.argmin(values))
-        if values[root]:
-            if chi[f[-1]] != 1:
-                x0 = int(np.argmax(chi[values] == 1))
-                if chi[values[x0]] != 1:
-                    return None
-                f = _shift(f, x0, p)[::-1]
-            inv = pow(f[-1], p - 2, p)
-            return [c * inv % p for c in f]
-        f = _shift(f, root, p)[:0:-1]
-    c = f[-1]
-    return [a * pow(c, 4 - i, p) % p for i, a in enumerate(f[:-1])] + [1]
+    if len(f) == 7 and not values.all():
+        f = _shift(f, int(np.argmin(values)), p)[:0:-1]
+    inv = pow(f[-1], p - 2, p)
+    return [c * inv % p for c in f], int(chi[f[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +357,9 @@ def hasse_witt_lpoly(
     F_p count, the character table chi and values = f mod p at every x in
     F_p; None when the Jacobian points leave more than one c2, so the
     caller has to enumerate F_{p^2}.  LPolyValidationError when W
-    contradicts c1 or no candidate survives, which would be a bug.
-
-    A curve with no F_p-point, which alone has no model, has c1 = -p - 1
-    and so p < 17; the Weil bound then leaves c2 an interval of width
-    p (2 - (p + 1) / (2 sqrt p))^2 < p, one candidate at most.
+    contradicts c1 or no candidate survives, which would be a bug.  The
+    Jacobian searched is that of the monic model, a twist when s = -1, so
+    its order is P(1) with s c1 in place of c1.
     """
     f = [a % p for a in f_coeffs]
     trace, det = hasse_witt(f, p)
@@ -381,8 +367,8 @@ def hasse_witt_lpoly(
         raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")
     candidates = [c2 for c2 in range(det - 3 * p, 7 * p, p) if weil_ok(p, c1, c2)]
     if len(candidates) > 1:
-        F = monic_model(f, p, chi, values)
-        candidates = _jacobian_survivors(F, c1, candidates, chi, p)
+        F, s = monic_model(f, p, chi, values)
+        candidates = _jacobian_survivors(F, s * c1, candidates, chi, p)
     if not candidates:
         raise LPolyValidationError(f"no c2 = {det} mod {p} fits the Jacobian at p={p}")
     if len(candidates) > 1:

@@ -116,6 +116,46 @@ def values_mod_p_horner(coeffs: list[int], p: int) -> np.ndarray:
     return acc
 
 
+def bareiss_det(m: list[list[int]]) -> int:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def discriminant_sylvester(coeffs: list[int]) -> int:
+    """Discriminant of f given ascending integer coefficients, as
+    (-1)^(n(n-1)/2) Res(f, f') / lc(f) with the resultant taken as the
+    determinant of the Sylvester matrix."""
+    c = poly_trim(list(coeffs))
+    n = len(c) - 1
+    deriv = [i * a for i, a in enumerate(c)][1:]
+    m = n - 1
+    size = n + m
+    rows = [[0] * i + c[::-1] + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + deriv[::-1] + [0] * (size - m - 1 - i) for i in range(n)]
+    res = bareiss_det(rows)
+    assert res % c[-1] == 0
+    return (-1) ** (n * (n - 1) // 2) * (res // c[-1])
+
+
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """The roots in F_p of the integer polynomial f, ascending, from
     sum f_i x^i evaluated at every x with a running power of x."""

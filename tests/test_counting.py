@@ -20,7 +20,14 @@ from frobstat.lpoly import weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
-from oracles import count_ext2, poly_derivative, poly_gcd, roots_mod_p, values_mod_p_horner
+from oracles import (
+    count_ext2,
+    discriminant_sylvester,
+    poly_derivative,
+    poly_gcd,
+    roots_mod_p,
+    values_mod_p_horner,
+)
 
 # expected counts frozen from a standalone enumerator that walks every
 # (x, y) pair of F_p x F_p (resp. F_{p^2} x F_{p^2}, built as F_p[t]/(t^2-d))
@@ -105,6 +112,34 @@ def test_discriminant_frozen_values():
     assert poly_discriminant([1, 1, 0, 1]) == -31
     assert poly_discriminant([1, 0, 0, 1]) == -27
     assert poly_discriminant([1, 0, 0, 0, 0, 1]) == 3125
+
+
+def test_discriminant_matches_the_sylvester_determinant():
+    # Euclid's resultant over the rationals against the Sylvester
+    # determinant, on 3000 seeded integer polynomials of degree 1-7; every
+    # third is g^2 h, with a repeated factor, so its discriminant is 0
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def draw(degree):
+        return [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
+
+    rng = random.Random(20261021)
+    zeros = 0
+    for k in range(3000):
+        if k % 3 == 0:
+            g = draw(rng.randint(1, 2))
+            f = mul(mul(g, g), draw(rng.randint(0, 7 - 2 * (len(g) - 1))))
+        else:
+            f = draw(rng.randint(1, 7))
+        disc = poly_discriminant(f)
+        assert disc == discriminant_sylvester(f), f
+        zeros += disc == 0
+    assert zeros >= 1000
 
 
 @given(a=st.integers(-30, 30), b=st.integers(-30, 30))

@@ -43,8 +43,9 @@ def model(curve, p):
 
 
 def jacobian_points(curve, p):
-    F = model(curve, p)
-    return F, list(hasse_witt._jacobian_points(F, character_table(p), p))
+    """(F, s, points) of the monic model."""
+    F, s = model(curve, p)
+    return F, s, list(hasse_witt._jacobian_points(F, character_table(p), p))
 
 
 def must_not_count(curve, p, chi):
@@ -75,35 +76,59 @@ def test_hasse_witt_matches_the_coefficients_of_the_power():
 
 
 def test_monic_models_keep_the_point_count():
-    # the model is isomorphic over F_p, so its count (one point at
-    # infinity on a quintic, two on a real model) equals the count of the
-    # curve as given
-    for f_coeffs, p, degree in [
-        ([2, 0, 2, -1, 1, 3], 11, 5), ([2, 3, -1, 0, 1, 5, 1], 103, 5),
-        ([1, 1, 0, 0, 0, 0, 3], 13, 5), ([5, -1, 0, 0, 0, 7], 211, 5),
-        ([2, 3, -1, 0, 1, 5, 1], 211, 6),  # no root mod p, leading coefficient 1
-        ([3, -1, -1, 3, -1, -2, 2], 103, 6),  # no root, 2 a square mod 103
-        ([3, -1, -1, 3, -1, -2, 2], 109, 6),  # no root, 2 not a square mod 109
+    # F = g / lc(g) is y^2 = g(x) over F_p when s = 1, so its count (one
+    # point at infinity on a quintic, two on a real model) is n1, and its
+    # quadratic twist when s = -1, whose count is 2p + 2 - n1
+    for f_coeffs, p, degree, s in [
+        ([2, 0, 2, -1, 1, 3], 11, 5, 1), ([2, 3, -1, 0, 1, 5, 1], 103, 5, 1),
+        ([1, 1, 0, 0, 0, 0, 3], 13, 5, -1), ([5, -1, 0, 0, 0, 7], 211, 5, -1),
+        ([2, 3, -1, 0, 1, 5, 1], 211, 6, 1),  # no root mod p, leading coefficient 1
+        ([3, -1, -1, 3, -1, -2, 2], 103, 6, 1),  # no root, 2 a square mod 103
+        ([3, -1, -1, 3, -1, -2, 2], 109, 6, -1),  # no root, 2 not a square mod 109
     ]:
         curve = make_curve(f_coeffs)
         assert (len(f_coeffs) == 6 or bool(roots_mod_p(f_coeffs, p))) == (degree == 5)
-        F = model(curve, p)
-        assert len(F) == degree + 1 and F[-1] == 1
-        assert count_points(make_curve(F), p) == count_points(curve, p)
+        F, sign = model(curve, p)
+        assert len(F) == degree + 1 and F[-1] == 1 and sign == s
+        n1 = count_points(curve, p)
+        assert count_points(make_curve(F), p) == (n1 if s == 1 else 2 * p + 2 - n1)
 
 
-def test_pointless_sextic_has_no_model_and_needs_none(monkeypatch):
+def test_pointless_sextic_has_the_twist_as_model_and_needs_none(monkeypatch):
     # 3x^6 + 3x^5 + x^3 + 3x^2 + 3 takes no square value mod 7 and its
-    # leading coefficient is not a square, so no point goes to infinity;
-    # but c1 = -p - 1 then leaves a single c2 within the Weil bound, so the
-    # record needs neither the model nor the count
+    # leading coefficient is not a square, so its model is the quadratic
+    # twist, with 2p + 2 = 16 points; c1 = -p - 1 leaves a single c2
+    # within the Weil bound, so the record needs neither the model nor
+    # the count
     f_coeffs, p = [3, 0, 3, 1, 0, 3, 3], 7
     curve = make_curve(f_coeffs)
     assert count_points(curve, p) == 0
-    assert model(curve, p) is None
+    F, s = model(curve, p)
+    assert s == -1 and count_points(make_curve(F), p) == 16
     expected = counted_record(curve, p)
     monkeypatch.setattr(counting, "_count_ext2", must_not_count)
     assert record_for_prime(curve, p) == expected
+
+
+@pytest.mark.parametrize("f_coeffs", [
+    [1, 0, 0, 0, 0, 0, 1],  # x^6 + 1
+    [0, -1, 0, 0, 0, 1],  # x^5 - x
+    [0, 1, 0, 0, 0, 1],  # x^5 + x
+    [1, 0, 0, 0, 0, 1],  # x^5 + 1
+    [0, -1, 0, 0, 0, 0, 1],  # x^6 - x
+    [1, 0, 0, 1, 0, 0, 1],  # x^6 + x^3 + 1
+    [1, 0, -5, 0, -5, 0, 1],  # x^6 - 5x^4 - 5x^2 + 1
+    [1, 0, 0, 0, 0, 0, 2],  # 2x^6 + 1
+    [0, 2, 0, 0, 0, 3],  # 3x^5 + 2x
+])
+def test_split_and_twisted_models_match_the_count(f_coeffs):
+    # split Jacobians, whose small group exponents leave several c2 to
+    # the walk, and leading coefficients that are not squares mod p, whose
+    # model is the twist: at every good prime below 300 the record equals
+    # the one built from the oracle's count over F_{p^2}
+    curve = make_curve(f_coeffs)
+    for p in counting.good_primes(curve, 300):
+        assert record_for_prime(curve, p) == counted_record(curve, p), p
 
 
 @given(p=st.sampled_from([7, 11, 13, 101, 1009]), degree=st.sampled_from([5, 6]),
@@ -146,15 +171,18 @@ def test_explicit_formulas_cover_the_generic_sum_and_double():
 @pytest.mark.parametrize("f_coeffs", [[2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]])
 def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
     # on the real model of a sextic with no root mod p (leading coefficient
-    # a square or not): sums of random classes are balanced and reduced,
-    # commute and associate, and #J(F_p) = P(1) kills every class
+    # a square or not, so the curve or its twist): sums of random classes
+    # are balanced and reduced, commute and associate, and the model's
+    # #J(F_p) = p^2 + 1 + s (p + 1) c1 + c2 kills every class
     curve = make_curve(f_coeffs)
     primes = [p for p in counting.good_primes(curve, 1100)
               if p >= 17 and not roots_mod_p(f_coeffs, p)]
+    signs = set()
     for p in primes[:4] + primes[-2:]:
         lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_ext2(curve, p))
-        order = sum(lp.coefficients())
-        F, points = jacobian_points(curve, p)
+        F, s, points = jacobian_points(curve, p)
+        order = p * p + 1 + s * (p + 1) * lp.c1 + lp.c2
+        signs.add(s)
         assert len(F) == 7 and points
         rng = random.Random(p)
         pool = points + [hasse_witt._REAL_NEUTRAL, ([1], [], 0), ([1], [], 2)]
@@ -172,6 +200,7 @@ def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
         for d in pool:
             assert cantor_mul(order, d, F, p) == hasse_witt._REAL_NEUTRAL
         assert cantor_mul(order + 1, points[0], F, p) == points[0]
+    assert signs == ({1} if f_coeffs[-1] == 1 else {1, -1})
 
 
 def test_jacobian_order_kills_every_point():
@@ -179,7 +208,7 @@ def test_jacobian_order_kills_every_point():
     for p in (7, 11, 101, 211):
         lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_ext2(curve, p))
         order = sum(lp.coefficients())  # P(1) = #J(F_p)
-        F, points = jacobian_points(curve, p)
+        F, _, points = jacobian_points(curve, p)
         for (u, v) in points:
             x0, y0 = -u[0] % p, (v or [0])[0]
             assert (y0 * y0 - sum(c * pow(x0, i, p) for i, c in enumerate(F))) % p == 0
@@ -239,7 +268,7 @@ def test_two_torsion_first_point_leaves_survivors_apart():
     # one tried: it keeps the candidates whose P(1) is even, -12 and 10 of
     # -12, -1, 10, 21, so the next point has to walk through -1 as well
     curve, p = make_curve([0, -2, -2, -2, -1, 1]), 11
-    F, points = jacobian_points(curve, p)
+    F, _, points = jacobian_points(curve, p)
     assert points[0] == ([0, 1], [])
     expected = counted_record(curve, p)
     c1 = expected.c1
@@ -398,9 +427,8 @@ def test_rootless_sextics_match_the_count(monkeypatch):
 ])
 def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
     # one reduction check, one table and one pass over the values of f per
-    # prime, also where the F_{p^2} count runs, so trial division runs
-    # twice: in the check and in the table's own prime test; the count
-    # runs only where x^5 - x leaves c2 open
+    # prime, also where the F_{p^2} count runs, and trial division once,
+    # in the check; the count runs only where x^5 - x leaves c2 open
     built, checked, trial, evaluated, ext2 = [], [], [], [], []
 
     def counted_table(p):
@@ -438,4 +466,4 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
     assert checked == primes
     assert evaluated == primes
     assert ext2 == (primes if f_coeffs == [0, -1, 0, 0, 0, 1] else [])
-    assert trial == [p for p in primes for _ in range(2)]
+    assert trial == primes
