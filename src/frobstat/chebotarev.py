@@ -30,6 +30,7 @@ quadratic factor.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,10 @@ from .arith import poly_trim, prime_blocks
 
 # every prime below this has p^2 + p < 2^63, so int64 residue arithmetic is exact
 _P_BOUND = 2**31
+# the largest group close_group builds
+_CLOSURE_BOUND = 10_000
+# a cycle of parse_cycles: the text between a "(" and the next ")"
+_CYCLE = re.compile(r"\(([^()]*)\)")
 # primes per numpy pass; the working set peaks near 35 * _BLOCK * deg^3
 # bytes (2 MB at deg 3, 30 MB at deg 9) whatever N is
 _BLOCK = 2048
@@ -161,24 +166,13 @@ def factorization_shape(f_coeffs, p: int) -> tuple[int, ...]:
 
 def parse_cycles(text: str, n: int) -> tuple[int, ...]:
     """Parse cycle notation like "(1 2)(3 4)" into a permutation tuple on
-    0..n-1 (input points are 1-based)."""
+    0..n-1 (input points are 1-based, split by spaces or commas).  Any
+    text outside the cycles other than whitespace is a ValueError."""
+    if _CYCLE.sub("", text).strip():
+        raise ValueError(f"bad cycle notation {text!r}")
     perm = list(range(n))
-    depth = 0
-    cycles: list[list[int]] = []
-    cur: list[int] = []
-    for tok in text.replace("(", " ( ").replace(")", " ) ").replace(",", " ").split():
-        if tok == "(":
-            depth += 1
-            cur = []
-        elif tok == ")":
-            depth -= 1
-            if cur:
-                cycles.append(cur)
-        else:
-            cur.append(int(tok) - 1)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    for cyc in cycles:
+    for body in _CYCLE.findall(text):
+        cyc = [int(t) - 1 for t in body.replace(",", " ").split()]
         if any(not 0 <= i < n for i in cyc) or len(set(cyc)) != len(cyc):
             raise ValueError(f"bad cycle {[i + 1 for i in cyc]} for degree {n}")
         for i, a in enumerate(cyc):
@@ -207,10 +201,9 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lens))
 
 
-def close_group(
-    generators: list[tuple[int, ...]], bound: int = 10_000
-) -> set[tuple[int, ...]]:
-    """All products of the generators (breadth-first closure)."""
+def close_group(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """All products of the generators (breadth-first closure), refused
+    with ValueError once it passes _CLOSURE_BOUND elements."""
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0])
@@ -227,8 +220,8 @@ def close_group(
                 if h not in seen:
                     seen.add(h)
                     new.append(h)
-                    if len(seen) > bound:
-                        raise ValueError(f"group exceeds closure bound {bound}")
+                    if len(seen) > _CLOSURE_BOUND:
+                        raise ValueError(f"group exceeds closure bound {_CLOSURE_BOUND}")
         frontier = new
     return seen
 

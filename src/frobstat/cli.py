@@ -4,7 +4,8 @@ Subcommands: scan, moments, density, hist, classify, catalog, birch,
 chebotarev.  All reports are CSV (stdout, or --out FILE); reals carry 12
 significant digits, exact rationals print as num/den.  Exit codes: 0 ok,
 2 bad configuration or arguments, 3 I/O failure, 4 internal validation
-failure (e.g. a Weil-bound violation, which would indicate a bug).
+failure (e.g. counts that fit no Weil-admissible L-polynomial, which
+would indicate a bug).
 
 Polynomial coefficients on the command line are ascending: "--f 1,1,0,1"
 means 1 + x + x^3, i.e. the curve y^2 = x^3 + x + 1.
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 from .birch import ap_distribution, birch_formula, ramanujan_tau
 from .chebotarev import chebotarev_scan, parse_cycles
-from .counting import WeilBoundError
 from .haar import catalog, exact_moment, moment_orders
 from .lpoly import LPolyValidationError
 from .scan import ScanConfig, read_records, run_scan, write_records
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return e.code
     try:
         return args.func(args)
-    except (WeilBoundError, LPolyValidationError, AssertionError) as e:
+    except (LPolyValidationError, AssertionError) as e:
         print(f"internal validation failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as e:

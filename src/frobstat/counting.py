@@ -6,11 +6,15 @@ Counts are affine character sums plus the points at infinity of the
 smooth model: one point for odd deg f, and for even deg f two points when
 the leading coefficient is a square in the field (always true in F_{p^2}).
 
-frobenius is the per-prime pipeline of count_points and
+frobenius is the one per-prime route, read by count_points and
 scan.record_for_prime: one reduction check, one character table and one
 array of f mod p feed the F_p count and the L-polynomial (hasse_witt in
 genus 2), which gives the count over F_{p^2}.  F_{p^2} is enumerated only
 where the Jacobian points leave c2 open, as for x^5 - x at p = 3 and 5.
+The L-polynomial is the one Weil check: lpoly_from_counts and
+hasse_witt_lpoly raise LPolyValidationError for counts no Weil-admissible
+polynomial gives, and a Weil-admissible one keeps every count it predicts
+inside the Hasse-Weil interval.
 
 f mod p is evaluated on half of F_p: the even and odd parts of f at
 s = x^2 for x = 1..(p-1)/2 give f(x) and f(-x) at once, as the character
@@ -19,7 +23,6 @@ table marks only the squares of that half.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +40,6 @@ class BadReductionError(ValueError):
         self.p = p
         self.reason = reason
         super().__init__(f"p={p} rejected: {reason}")
-
-
-class WeilBoundError(RuntimeError):
-    """A computed count violated the Hasse-Weil bound (internal bug guard)."""
 
 
 def poly_discriminant(coeffs: list[int]) -> int:
@@ -136,57 +135,39 @@ def _check_reduction(curve: HyperellipticCurve, p: int) -> None:
         raise BadReductionError(p, "f is not squarefree mod p")
 
 
-def _assert_weil(count: int, p: int, ext: int, genus: int) -> None:
-    lo, hi = hasse_interval(p, ext, genus)
-    if not lo <= count <= hi:
-        raise WeilBoundError(
-            f"count {count} violates the Weil bound at p={p}, ext={ext}"
-        )
-
-
 def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
     """Number of points on the smooth model of the curve over F_{p^ext}.
 
-    ext is 1 or 2.  Affine points over F_p are counted by the quadratic
-    character sum; chi(0) = 0 makes the x with f(x) = 0 contribute exactly
-    one point.  The count over F_{p^2} is read from the L-polynomial of
-    frobenius.  Raises BadReductionError for unusable primes and
-    WeilBoundError if the result falls outside the Hasse-Weil interval
-    (which would be a bug).  The character table and f mod p form values
-    below p^2 in int64, so primes with p^2 >= 2^63 (p > 3037000499) are
-    refused as BadReductionError before any table is built.
+    ext is 1 or 2.  Both counts come from frobenius: the F_p count, and
+    the count over F_{p^2} that its L-polynomial predicts.  Raises as
+    frobenius does.
     """
-    if ext == 1:
-        n = _count_ext1(curve, p, *_tables(curve, p))
-    elif ext == 2:
-        n = predicted_count(frobenius(curve, p)[1], 2)
-    else:
+    if ext not in (1, 2):
         raise ValueError(f"ext must be 1 or 2, got {ext}")
-    _assert_weil(n, p, ext, curve.genus)
-    return n
+    n1, lp = frobenius(curve, p)
+    return n1 if ext == 1 else predicted_count(lp, 2)
 
 
 def frobenius(curve: HyperellipticCurve, p: int) -> tuple[int, LPoly]:
     """(n1, L-polynomial) at p, from one table and one array of f mod p;
     F_{p^2} is enumerated only where hasse_witt_lpoly leaves c2 open.
-    Raises as count_points does."""
-    chi, values = _tables(curve, p)
+
+    Raises BadReductionError for unusable primes, and LPolyValidationError
+    for counts that no Weil-admissible L-polynomial gives (which would be
+    a bug).  The character table and f mod p form values below p^2 in
+    int64, so primes with p^2 >= 2^63 (p > 3037000499) are refused as
+    BadReductionError before any table is built.
+    """
+    _check_reduction(curve, p)
+    chi = character_table(p)
+    values = _values_mod_p([a % p for a in curve.f_coeffs], p)
     n1 = _count_ext1(curve, p, chi, values)
-    _assert_weil(n1, p, 1, curve.genus)
     if curve.genus == 1:
         return n1, lpoly_from_counts(1, p, n1)
     lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
     if lp is None:
-        n2 = _count_ext2(curve, p, chi)
-        _assert_weil(n2, p, 2, curve.genus)
-        lp = lpoly_from_counts(2, p, n1, n2)
+        lp = lpoly_from_counts(2, p, n1, _count_ext2(curve, p, chi))
     return n1, lp
-
-
-def _tables(curve: HyperellipticCurve, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The character table and f mod p at every x in F_p of a good p."""
-    _check_reduction(curve, p)
-    return character_table(p), _values_mod_p([a % p for a in curve.f_coeffs], p)
 
 
 def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
@@ -222,7 +203,9 @@ def _horner(coeffs: list[int], s: np.ndarray, p: int) -> np.ndarray | int:
 
 
 def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.ndarray) -> int:
-    """Count over F_p from chi and values = f mod p at every x in F_p."""
+    """Count over F_p from chi and values = f mod p at every x in F_p: the
+    affine points by the quadratic character sum, where chi(0) = 0 makes
+    each x with f(x) = 0 one point, and then the points at infinity."""
     affine = p + int(chi[values].sum())
     if curve.degree % 2 == 1:
         inf = 1
@@ -254,10 +237,3 @@ def good_primes(curve: HyperellipticCurve, n: int) -> list[int]:
     """Odd primes <= n dividing neither lc(f) nor disc(f), ascending."""
     bad = abs(curve.leading * curve.disc)
     return [p for p in sieve_primes(n) if p > 2 and bad % p != 0]
-
-
-def hasse_interval(p: int, ext: int, genus: int) -> tuple[int, int]:
-    """Closed integer interval of admissible point counts over F_{p^ext}."""
-    q = p**ext
-    w = math.isqrt(4 * genus * genus * q)  # floor(2g sqrt(q)), exact
-    return q + 1 - w, q + 1 + w

@@ -16,8 +16,9 @@ P(-1); a sextic with a root mod p is first made a quintic.  A sextic
 without one keeps a real model of degree 6, whose classes are balanced
 divisors (Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic
 arithmetic using balanced representation for divisors", ANTS VIII, 2008).
-Where the Jacobian points leave more than one candidate, which no prime
-above 7 has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
+Every point of the Jacobian of the form P - inf is tried in turn until one
+candidate is left.  Where they leave more than one, which no prime above 7
+has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ import numpy as np
 
 from .arith import poly_add, poly_divmod, poly_mul, poly_sub, poly_xgcd
 from .lpoly import LPoly, LPolyValidationError, weil_ok
-
-# points of the Jacobian tried before F_{p^2} is enumerated
-JACOBIAN_POINTS = 4
 
 # the neutral divisor in Mumford form (u, v) = (1, 0), and on a real model
 # the balanced inf+ + inf- - (inf+ + inf-)
@@ -306,14 +304,13 @@ def cantor_mul(n: int, d, F: list[int], p: int):
 
 
 def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
-    """Divisors (x - x0, y0) for x0 = 0, 1, 2, ... with F(x0) a square,
-    at most JACOBIAN_POINTS of them, on a real model with n = 0, the
-    class of P - inf+; y0 is read from a table of square roots,
-    root[a^2 mod p] = a for 0 <= a <= (p-1)/2."""
+    """Divisors (x - x0, y0) for every x0 = 0, 1, 2, ... with F(x0) a
+    square, on a real model with n = 0, the class of P - inf+; y0 is read
+    from a table of square roots, root[a^2 mod p] = a for
+    0 <= a <= (p-1)/2."""
     half = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[half * half % p] = half
-    found = 0
     for x0 in range(p):
         value = 0
         for c in reversed(F):
@@ -322,9 +319,6 @@ def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
             y0 = int(root[value])
             point = [-x0 % p, 1], [y0] if y0 else []
             yield point + (0,) if len(F) == 7 else point
-            found += 1
-            if found == JACOBIAN_POINTS:
-                return
 
 
 def _jacobian_survivors(F, c1: int, candidates: list[int], chi, p: int) -> list[int]:
@@ -357,7 +351,8 @@ def hasse_witt_lpoly(
     F_p count, the character table chi and values = f mod p at every x in
     F_p; None when the Jacobian points leave more than one c2, so the
     caller has to enumerate F_{p^2}.  LPolyValidationError when W
-    contradicts c1 or no candidate survives, which would be a bug.  The
+    contradicts c1 or no candidate survives, which would be a bug; a c1
+    outside the Weil bound c1^2 <= 16p leaves no candidate.  The
     Jacobian searched is that of the monic model, a twist when s = -1, so
     its order is P(1) with s c1 in place of c1.
     """

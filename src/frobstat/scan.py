@@ -37,7 +37,7 @@ class ScanConfig:
 def record_for_prime(curve: HyperellipticCurve, p: int) -> ScanRecord:
     """The record of one good prime, from counting.frobenius: the F_p
     count and the L-polynomial, and in genus 2 the F_{p^2} count that the
-    L-polynomial predicts.  Raises as count_points does."""
+    L-polynomial predicts.  Raises as frobenius does."""
     n1, lp = frobenius(curve, p)
     n2 = None if curve.genus == 1 else predicted_count(lp, 2)
     nc = normalize(lp)

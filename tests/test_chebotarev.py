@@ -145,6 +145,11 @@ def test_parse_cycles_and_compose():
         parse_cycles("(1 1)", 4)
     with pytest.raises(ValueError):
         parse_cycles("(1 2", 4)
+    assert parse_cycles("(1,2,3)", 3) == s
+    # text outside the cycles, nested or stray parentheses
+    for bad in ["1 2 3", "(1 2) 3", "(1 (2) 3)", "(1 2))("]:
+        with pytest.raises(ValueError):
+            parse_cycles(bad, 4)
 
 
 def test_close_group_orders():
@@ -158,11 +163,12 @@ def test_close_group_orders():
     assert len(c5) == 5
 
 
-def test_close_group_bound_enforced():
+def test_close_group_bound_enforced(monkeypatch):
     gens = [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)]
     with pytest.raises(ValueError):
-        close_group(gens)  # |S8| = 40320 exceeds the default bound
-    assert len(close_group(gens, bound=50_000)) == 40320
+        close_group(gens)  # |S8| = 40320 exceeds the bound of 10_000
+    monkeypatch.setattr(chebotarev, "_CLOSURE_BOUND", 50_000)
+    assert len(close_group(gens)) == 40320
 
 
 def test_close_group_input_validation():

@@ -12,11 +12,10 @@ from frobstat.counting import (
     BadReductionError,
     count_points,
     good_primes,
-    hasse_interval,
     make_curve,
     poly_discriminant,
 )
-from frobstat.lpoly import weil_ok
+from frobstat.lpoly import LPolyValidationError, weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
@@ -354,21 +353,39 @@ def test_counts_lie_in_hasse_interval():
     curve = make_curve([1, -1, 0, 0, 0, 1])
     for p in good_primes(curve, 100):
         for ext in (1, 2):
-            lo, hi = hasse_interval(p, ext, curve.genus)
             n = count_points(curve, p, ext=ext)
-            assert lo <= n <= hi
             q = p**ext
             assert (n - q - 1) ** 2 <= 4 * curve.genus**2 * q
 
 
 def test_hasse_interval_braces_the_supersingular_boundary():
-    # x^3 + x + 1 at p = 3 hits the upper Weil bound over F_9 exactly
-    lo, hi = hasse_interval(3, 2, 1)
-    assert hi == 16
-    assert count_points(make_curve([1, 1, 0, 1]), 3, ext=2) == 16
-    lo1, hi1 = hasse_interval(7, 1, 1)
-    w = math.isqrt(4 * 7)
-    assert (lo1, hi1) == (8 - w, 8 + w)
+    # x^3 + x + 1 at p = 3 hits the upper Weil bound over F_9 exactly:
+    # q + 1 + 2 sqrt(q) = 9 + 1 + 6 = 16
+    n2 = count_points(make_curve([1, 1, 0, 1]), 3, ext=2)
+    assert n2 == 16 == 9 + 1 + math.isqrt(4 * 9)
+
+
+@pytest.mark.parametrize("f_coeffs", [[1, 1, 0, 1], [1, -1, 0, 0, 0, 1]])
+def test_counts_outside_the_weil_bound_fail_the_lpoly(monkeypatch, f_coeffs):
+    # an F_p count with c1 = 4p fits no Weil-admissible L-polynomial in
+    # either genus, so frobenius and both counts of count_points refuse it
+    curve, p = make_curve(f_coeffs), 11
+    monkeypatch.setattr(counting, "_count_ext1", lambda curve, p, chi, values: 5 * p + 1)
+    with pytest.raises(LPolyValidationError):
+        counting.frobenius(curve, p)
+    for ext in (1, 2):
+        with pytest.raises(LPolyValidationError):
+            count_points(curve, p, ext)
+
+
+def test_count_points_refuses_other_extensions_first(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(counting, "frobenius", must_not_run)
+    for ext in (0, 3):
+        with pytest.raises(ValueError, match="ext must be 1 or 2"):
+            count_points(make_curve([1, 1, 0, 1]), 5, ext)
 
 
 def test_even_degree_infinity_points():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobstat import cli, scan
-from frobstat.counting import WeilBoundError, count_points, good_primes, make_curve
+from frobstat import cli, counting, scan
+from frobstat.counting import count_points, good_primes, make_curve
 from frobstat.arith import sieve_primes
 from frobstat.lpoly import LPoly, lpoly_from_counts, weil_check
 from frobstat.scan import (
@@ -379,6 +379,13 @@ def test_cli_chebotarev_refused_bound_exit_2(n, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_cli_chebotarev_malformed_group_exit_2(capsys):
+    # the stray 3 used to be dropped
+    argv = ["chebotarev", "--poly=-2,0,0,1", "--group", "(1 2) 3", "--N", "100"]
+    assert cli.main(argv) == 2
+    assert "bad cycle notation" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # singular curve: discriminant zero
     assert cli.main(["scan", "--f", "0,0,0,1", "--N", "50"]) == 2
@@ -488,12 +495,11 @@ def test_genus2_weil_boundary_on_read(p, data):
 
 
 def test_cli_internal_failure_exit(monkeypatch, capsys):
-    def boom(args):
-        raise WeilBoundError("synthetic trace bound violation")
-
-    monkeypatch.setattr(cli, "_cmd_scan", boom)
-    assert cli.main(["scan", "--f", "1,1,0,1", "--N", "10"]) == 4
-    assert "internal validation failure" in capsys.readouterr().err
+    # an F_p count outside the Weil bound fits no L-polynomial, in either genus
+    monkeypatch.setattr(counting, "_count_ext1", lambda curve, p, chi, values: 5 * p + 1)
+    for f in ["1,1,0,1", "1,-1,0,0,0,1"]:
+        assert cli.main(["scan", "--f", f, "--N", "10"]) == 4
+        assert "internal validation failure" in capsys.readouterr().err
 
 
 def test_csv_uses_plain_newlines(tmp_path):

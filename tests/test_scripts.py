@@ -2,6 +2,7 @@
 size and finishes cleanly."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ def _main(name):
     ("curve_survey", ["--N", "300", "--skip-genus2"], "z-scores against", "EXPECTED"),
     ("birch_reconcile", ["--p", "5,7", "--pmax", "31"], "odd moments vanish: yes", "MISMATCH"),
     ("chebotarev_demo", ["--N", "500"], "worst deviation", None),
+    ("record_sweep", ["--N", "14", "--out", os.devnull], "64 curves", None),
 ])
 def test_script_runs_at_tiny_size(monkeypatch, capsys, name, argv, expect, refuse):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
