@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .birch import ap_distribution, birch_formula, ramanujan_tau
@@ -59,22 +60,12 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: zero denominator") from None
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return None
-
-
 def _emit(args, header, rows):
-    fh = _open_out(args)
-    target = fh if fh is not None else sys.stdout
-    try:
-        w = csv.writer(target, lineterminator="\n")
+    out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if fh is not None:
-            fh.close()
 
 
 def _load_records(args):

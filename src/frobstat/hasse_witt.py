@@ -2,11 +2,12 @@
 
 For y^2 = f(x) of genus 2 at a good prime p, the F_p count gives c1
 exactly.  The Hasse-Witt matrix W (W_ij is the coefficient of x^(ip-j) in
-f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin), and the Weil
-conditions leave a handful of integers c2 = det W + kp.  When more than one
-is left, the right one is the c2 whose #J(F_p) = P(1) kills points of the
-Jacobian, tested by Cantor's algorithm on a monic model
-(Kedlaya-Sutherland, "Computing L-series of hyperelliptic curves",
+f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin).  The Weil
+bound is an integer interval of c2, lpoly.weil_c2(p, c1), of width
+(2 sqrt(p) - |c1|/2)^2 <= 4p, so at most five c2 = det W + kp lie in it.
+When more than one does, the right one is the c2 whose #J(F_p) = P(1)
+kills points of the Jacobian, tested by Cantor's algorithm on a monic
+model (Kedlaya-Sutherland, "Computing L-series of hyperelliptic curves",
 ANTS VIII, 2008).  This costs O(p) operations on Python integers against
 the O(p^2) of counting over F_{p^2}.
 
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import poly_add, poly_divmod, poly_mul, poly_sub, poly_xgcd
-from .lpoly import LPoly, LPolyValidationError, weil_ok
+from .lpoly import LPoly, LPolyValidationError, weil_c2
 
 # the neutral divisor in Mumford form (u, v) = (1, 0), and on a real model
 # the balanced inf+ + inf- - (inf+ + inf-)
@@ -360,7 +361,8 @@ def hasse_witt_lpoly(
     trace, det = hasse_witt(f, p)
     if (c1 + trace) % p:
         raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")
-    candidates = [c2 for c2 in range(det - 3 * p, 7 * p, p) if weil_ok(p, c1, c2)]
+    span = weil_c2(p, c1)
+    candidates = list(span[(det - span.start) % p :: p])
     if len(candidates) > 1:
         F, s = monic_model(f, p, chi, values)
         candidates = _jacobian_survivors(F, s * c1, candidates, chi, p)

@@ -5,9 +5,9 @@ Genus 2: P(T) = 1 + c1*T + c2*T^2 + p*c1*T^3 + p^2*T^4.
 
 The functional equation fixes the top coefficients, so n1 determines genus 1
 and (n1, n2) determines genus 2.  Validity (all inverse roots of absolute
-value sqrt(p)) is decided in exact integer arithmetic: substituting
-t = T + 1/T turns the normalized quartic into h(t) = t^2 + a1*t + (a2 - 2),
-which must have two real roots in [-2, 2].
+value sqrt(p)) is decided in exact integer arithmetic: c1^2 <= 4p in genus
+1, and in genus 2 c2 in weil_c2(p, c1), the integer interval
+ceil(2|c1|sqrt(p)) - 2p <= c2 <= c1^2/4 + 2p, empty once c1^2 > 16p.
 """
 
 from __future__ import annotations
@@ -49,15 +49,19 @@ def normalize(lp: LPoly) -> NormalizedCoeffs:
     return NormalizedCoeffs(genus=2, a1=lp.c1 / rt, a2=lp.c2 / lp.p)
 
 
-def _sqrt_compare(u: int, v: int, p: int) -> bool:
-    """Exact test of u + v*sqrt(p) >= 0 for integers u, v."""
-    if u >= 0 and v >= 0:
-        return True
-    if u < 0 and v <= 0:
-        return False
-    if v < 0:  # u >= 0: need u^2 >= v^2 p
-        return u * u >= v * v * p
-    return v * v * p >= u * u  # u < 0, v > 0
+def weil_c2(p: int, c1: int) -> range:
+    """The c2 that make 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4 Weil-admissible.
+
+    t = T + 1/T turns the normalized quartic into h(t) = t^2 + a1 t + a2 - 2,
+    which needs two real roots in [-2, 2]: |a1| <= 4, disc >= 0 (the upper
+    end) and h(+-2) >= 0 (the lower end).  The ceiling of 2|c1|sqrt(p) is
+    exact, for p a square as well.
+    """
+    if c1 * c1 > 16 * p:
+        return range(0)
+    n = 4 * c1 * c1 * p
+    r = math.isqrt(n)
+    return range(r + (r * r < n) - 2 * p, (c1 * c1 + 8 * p) // 4 + 1)
 
 
 def weil_check(lp: LPoly) -> bool:
@@ -71,15 +75,7 @@ def weil_ok(p: int, c1: int, c2: Optional[int]) -> bool:
     can test a record without building an LPoly."""
     if c2 is None:
         return c1 * c1 <= 4 * p
-    # h(t) = t^2 + a1 t + (a2 - 2) needs two real roots in [-2, 2]:
-    # disc >= 0, h(2) >= 0, h(-2) >= 0, vertex -a1/2 in [-2, 2]
-    if c1 * c1 - 4 * c2 + 8 * p < 0:  # p * disc
-        return False
-    if not _sqrt_compare(2 * p + c2, 2 * c1, p):  # p * h(2)
-        return False
-    if not _sqrt_compare(2 * p + c2, -2 * c1, p):  # p * h(-2)
-        return False
-    return c1 * c1 <= 16 * p  # |a1| <= 4
+    return c2 in weil_c2(p, c1)
 
 
 def lpoly_from_counts(
@@ -121,20 +117,13 @@ def predicted_count(lp: LPoly, n: int) -> int:
     """#C(F_{p^n}) implied by the L-polynomial, for n in 1..4.
 
     Power sums s_k of the inverse roots follow from Newton's identities on
-    the coefficients of P; the count is p^n + 1 - s_n.
+    the coefficients of P, s_k = -k c_k - sum_{i<k} c_i s_{k-i} with c_k = 0
+    past deg P; the count is p^n + 1 - s_n.
     """
     if not 1 <= n <= 4:
         raise ValueError("n must be in 1..4")
-    # elementary symmetric functions of the inverse roots: e_k = (-1)^k c_k
-    e = [(-1) ** k * c for k, c in enumerate(lp.coefficients())]
-    deg = len(e) - 1
+    c = lp.coefficients() + [0] * n
     s = [0] * (n + 1)
     for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k):
-            if i <= deg:
-                acc += (-1) ** (i - 1) * e[i] * s[k - i]
-        if k <= deg:
-            acc += (-1) ** (k - 1) * k * e[k]
-        s[k] = acc
+        s[k] = -k * c[k] - sum(c[i] * s[k - i] for i in range(1, k))
     return lp.p**n + 1 - s[n]

@@ -69,7 +69,11 @@ def _helper(conn, curve, primes, claimed) -> None:
 def scan_curve(curve: HyperellipticCurve, n: int, threads: int = 1) -> list[ScanRecord]:
     """Records for every good prime <= n, ascending.  threads processes,
     capped at the CPU count, claim primes: this one and threads - 1 helpers
-    started before it begins."""
+    started before it begins.  ValueError for n^2 >= 2^63 (n > 3037000499),
+    before any prime is sieved: the int64 tables of frobenius would refuse
+    the largest primes anyway."""
+    if n * n >= 2**63:
+        raise ValueError(f"N={n} has N^2 >= 2^63: the int64 tables need p^2 < 2^63")
     descending = good_primes(curve, n)[::-1]
     claimed = Value("i", 0)
     helpers = []

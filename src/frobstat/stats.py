@@ -225,21 +225,17 @@ def histogram(
 
 STDERR_FLOOR = 1e-3
 
-# moment orders entering the score
-_TRACKED_G1 = [(d, 0) for d in range(1, 7)]
-_TRACKED_G2 = [(d, 0) for d in range(1, 7)] + [(0, d) for d in range(1, 4)] + [(2, 1)]
+# moment orders entering the score, by genus
+TRACKED_ORDERS = {
+    1: tuple((d, 0) for d in range(1, 7)),
+    2: tuple((d, 0) for d in range(1, 7)) + ((0, 1), (0, 2), (0, 3), (2, 1)),
+}
 
-# point masses entering the score
-_DENSITY_G1 = [("a1", Fraction(0))]
-_DENSITY_G2 = [("a1", Fraction(0))] + [("a2", Fraction(v)) for v in (-2, -1, 0, 1, 2)]
-
-
-def tracked_orders(genus: int) -> list[tuple[int, int]]:
-    return list(_TRACKED_G1 if genus == 1 else _TRACKED_G2)
-
-
-def tracked_densities(genus: int) -> list[tuple[str, Fraction]]:
-    return list(_DENSITY_G1 if genus == 1 else _DENSITY_G2)
+# point masses entering the score, by genus
+TRACKED_MASSES = {
+    1: (("a1", Fraction(0)),),
+    2: (("a1", Fraction(0)),) + tuple(("a2", Fraction(v)) for v in (-2, -1, 0, 1, 2)),
+}
 
 
 def z_scores(
@@ -259,7 +255,7 @@ def z_scores(
         if entry.genus != table.genus:
             continue
         terms = []
-        for order in tracked_orders(table.genus):
+        for order in TRACKED_ORDERS[table.genus]:
             stat = table.entries.get(order)
             if stat is None:
                 continue
@@ -305,5 +301,5 @@ def records_density_map(
     genus = records[0].genus
     return {
         (stat, v): empirical_density(records, stat, v)
-        for stat, v in tracked_densities(genus)
+        for stat, v in TRACKED_MASSES[genus]
     }

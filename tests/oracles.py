@@ -116,6 +116,30 @@ def values_mod_p_horner(coeffs: list[int], p: int) -> np.ndarray:
     return acc
 
 
+def sqrt_compare(u: int, v: int, p: int) -> bool:
+    """Exact test of u + v*sqrt(p) >= 0 for integers u, v and p >= 0."""
+    if u >= 0 and v >= 0:
+        return True
+    if u < 0 and v <= 0:
+        return False
+    if v < 0:  # u >= 0: need u^2 >= v^2 p
+        return u * u >= v * v * p
+    return v * v * p >= u * u  # u < 0, v > 0
+
+
+def weil_ok_genus2(p: int, c1: int, c2: int) -> bool:
+    """Whether 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4 has all inverse roots
+    of absolute value sqrt(p), by four separate exact tests: t = T + 1/T
+    turns the normalized quartic into h(t) = t^2 + a1 t + (a2 - 2), which
+    needs disc >= 0, h(2) >= 0, h(-2) >= 0 and its vertex -a1/2 in [-2, 2]."""
+    return (
+        c1 * c1 - 4 * c2 + 8 * p >= 0  # p * disc
+        and sqrt_compare(2 * p + c2, 2 * c1, p)  # p * h(2)
+        and sqrt_compare(2 * p + c2, -2 * c1, p)  # p * h(-2)
+        and c1 * c1 <= 16 * p  # |a1| <= 4
+    )
+
+
 def bareiss_det(m: list[list[int]]) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination)."""
     n = len(m)

@@ -10,8 +10,12 @@ from frobstat.lpoly import (
     lpoly_from_counts,
     normalize,
     predicted_count,
+    weil_c2,
     weil_check,
+    weil_ok,
 )
+
+from oracles import weil_ok_genus2
 
 ODD_PRIMES_100 = sieve_primes(100)[1:]
 
@@ -45,6 +49,32 @@ def _valid_pairs(p):
 @pytest.mark.parametrize("p", sorted(VALID_PAIR_COUNTS))
 def test_admissible_pair_counts_match_numeric_classifier(p):
     assert sum(1 for _ in _valid_pairs(p)) == VALID_PAIR_COUNTS[p]
+    assert sum(len(weil_c2(p, c1)) for c1, _, _ in _pair_box(p)) == VALID_PAIR_COUNTS[p]
+
+
+def test_weil_c2_is_the_interval_of_four_exact_tests():
+    # every integer p, not only primes: a scan file's p is not tested for
+    # primality, and at a square p, 4 c1^2 p can be a square.  The oracle's
+    # tests bound c2 above by (c1^2 + 8p) / 4 and below, so it accepts an
+    # interval ending at or below that top: its two ends, or its refusal of
+    # the top, settle every c2
+    checked = 0
+    for p in range(401):
+        for c1 in range(-math.isqrt(16 * p) - 2, math.isqrt(16 * p) + 3):
+            span = weil_c2(p, c1)
+            top = (c1 * c1 + 8 * p) // 4
+            if span:
+                assert span[-1] == top
+                ends = [span.start - 1, span.start, top, top + 1]
+                expected = [False, True, True, False]
+            else:
+                ends, expected = [top], [False]
+            assert [weil_ok_genus2(p, c1, c2) for c2 in ends] == expected, (p, c1)
+            assert [weil_ok(p, c1, c2) for c2 in ends] == expected
+            checked += 1
+    assert checked == 44345
+    # 4 c1^2 p = 36 is a square: c2 = 2 * 6 - 2 * 9 = -12 is the lower end
+    assert weil_c2(9, 1).start == weil_c2(9, -1).start == -12
 
 
 @pytest.mark.parametrize("p", [3, 7, 19, 53, 97])

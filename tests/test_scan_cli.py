@@ -227,6 +227,24 @@ def test_run_scan_writes_file(tmp_path):
     assert out.read_text() == _dump(records)
 
 
+def test_scan_past_the_int64_bound_is_refused_before_sieving(monkeypatch, tmp_path, capsys):
+    # a sieve to 2^32 would hold about 2e8 primes; none is ever built here
+    def no_sieve(curve, n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(scan, "good_primes", no_sieve)
+    curve = make_curve(E1)
+    for n in (3037000500, 2**32):
+        with pytest.raises(ValueError, match="2\\^63"):
+            scan_curve(curve, n)
+    out = tmp_path / "s.jsonl"
+    assert cli.main(["scan", "--f", "1,1,0,1", "--N", "3037000500", "--out", str(out)]) == 2
+    assert "2^63" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(scan, "good_primes", lambda curve, n: [])
+    assert scan_curve(curve, 3037000499) == []
+
+
 # -- CLI --------------------------------------------------------------------
 
 def _read_csv(path):
@@ -410,11 +428,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0.0}
 # c2 = 2 at p = 5, so the writer's a2bar is 2 / 5 = 0.4
 G2_C2 = {**GOOD_G2, "n2": 30, "c2": 2, "a2bar": 0.4}
+# p = 9, c1 = 1: 4 c1^2 p = 36 is a square, and c2 = 2 * 6 - 2 * 9 = -12
+# is the lower Weil end exactly
+SQUARE_P_G2 = {"p": 9, "n1": 11, "n2": 57, "c1": 1, "c2": -12, "a1bar": 1 / 3, "a2bar": -12 / 9}
 
 
 def test_valid_neighbours_of_corrupt_lines_read():
     # each corrupt case differs from one of these in the field it names
-    lines = [GOOD_G2, G2_C2, {"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}]
+    lines = [GOOD_G2, G2_C2, SQUARE_P_G2, {"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}]
     for d in lines:
         assert read_records(io.StringIO(json.dumps(d))) == [ScanRecord(**d)]
 
@@ -444,6 +465,8 @@ def test_valid_neighbours_of_corrupt_lines_read():
                  id="c1-beyond-float-range"),
     pytest.param('{"p":5,"n1":16,"c1":10,"a1bar":4.47213595499958}', id="g1-c1-past-weil"),
     pytest.param(json.dumps({**GOOD_G2, "n2": 48, "c2": 11, "a2bar": 2.2}), id="g2-c2-past-weil"),
+    pytest.param(json.dumps({**SQUARE_P_G2, "n2": 55, "c2": -13, "a2bar": -13 / 9}),
+                 id="g2-c2-below-weil-at-square-p"),
     pytest.param(json.dumps({"p": 3, "n1": 4, "c1": 0, "a1bar": 0.0}) + "\n" + json.dumps(GOOD_G2),
                  id="genus-1-then-genus-2"),
 ])

@@ -6,6 +6,8 @@ import pytest
 
 from frobstat.haar import catalog, exact_moment, get_entry
 from frobstat.stats import (
+    TRACKED_MASSES,
+    TRACKED_ORDERS,
     DensityStat,
     MomentStat,
     MomentTable,
@@ -16,8 +18,6 @@ from frobstat.stats import (
     histogram,
     moment_orders,
     records_density_map,
-    tracked_densities,
-    tracked_orders,
     z_scores,
 )
 
@@ -120,7 +120,7 @@ def test_histogram_counts_and_clamping():
 
 def _theoretical_table(gid, genus):
     table = MomentTable(genus=genus)
-    for order in tracked_orders(genus):
+    for order in TRACKED_ORDERS[genus]:
         table.entries[order] = MomentStat(
             value=float(exact_moment(gid, order[0], order[1])), stderr=1e-6, n=10**6
         )
@@ -129,7 +129,7 @@ def _theoretical_table(gid, genus):
 
 def _theoretical_densities(gid, genus, n=10**6):
     out = {}
-    for stat, v in tracked_densities(genus):
+    for stat, v in TRACKED_MASSES[genus]:
         mass = get_entry(gid).point_mass(stat, v)
         hits = int(mass * n)
         out[(stat, v)] = DensityStat(statistic=stat, value=v, hits=hits, n=n)
@@ -174,8 +174,8 @@ def test_classify_score_is_the_sum_of_squared_z_scores(genus):
     assert list(terms) == [e.id for e in catalog() if e.genus == genus]
     for gid, group_terms in terms.items():
         assert [t for t, _ in group_terms] == (
-            [f"M[{d1},{d2}]" for d1, d2 in tracked_orders(genus)]
-            + [f"mass {stat}={v}" for stat, v in sorted(tracked_densities(genus))]
+            [f"M[{d1},{d2}]" for d1, d2 in TRACKED_ORDERS[genus]]
+            + [f"mass {stat}={v}" for stat, v in sorted(TRACKED_MASSES[genus])]
         )
         score = 0.0
         for _, z in group_terms:
@@ -190,7 +190,7 @@ def test_classify_score_is_the_sum_of_squared_z_scores(genus):
 def test_records_density_map_covers_tracked_values():
     recs = [_rec2(5, 0, 10), _rec2(7, 1, 14)]
     dmap = records_density_map(recs)
-    assert set(dmap) == set(tracked_densities(2))
+    assert set(dmap) == set(TRACKED_MASSES[2])
     assert dmap[("a2", Fraction(2))].hits == 2
 
 
