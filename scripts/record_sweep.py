@@ -6,7 +6,10 @@ The curves are 14 fixed ones (split Jacobians and leading coefficients
 that are not squares mod some p among them) and 50 quintics and sextics in
 turn with coefficients in [-9, 9], drawn from random.Random(20261021) and
 skipping the draws that are not squarefree.  The last line lists the
-(curve, p) pairs whose record enumerated F_{p^2}.
+(curve, p) pairs whose record enumerated F_{p^2}.  The console line counts
+the records by how c2 was decided: by baby-step giant-step alone, by the
+Hasse-Witt matrix W (with BSGS's order, where BSGS ran), or by the walk
+over the Jacobian points.
 
 Run it from the root of each checkout and compare the files:
 
@@ -18,7 +21,7 @@ import json
 import random
 import time
 
-from frobstat import counting
+from frobstat import counting, hasse_witt
 from frobstat.scan import record_for_prime
 
 FIXED = [
@@ -57,17 +60,27 @@ def curves() -> list[list[int]]:
     return FIXED + drawn
 
 
-def sweep(n: int, out) -> tuple[int, list]:
+def sweep(n: int, out) -> tuple[int, list, dict]:
     """Write the record of every good p < n of every curve to out; return
-    the number of records and the (f, p) pairs that enumerated F_{p^2}."""
-    enumerated = []
+    the number of records, the (f, p) pairs that enumerated F_{p^2} and
+    the number of records settled by each route."""
+    enumerated, calls = [], {"hasse_witt": 0, "_jacobian_survivors": 0}
+    originals = {name: getattr(hasse_witt, name) for name in calls}
     count_ext2 = counting._count_ext2
 
     def spy(curve, p, chi):
         enumerated.append([list(curve.f_coeffs), p])
         return count_ext2(curve, p, chi)
 
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return call
+
     counting._count_ext2 = spy
+    for name in calls:
+        setattr(hasse_witt, name, counted(name))
     records = 0
     try:
         for f in curves():
@@ -78,8 +91,12 @@ def sweep(n: int, out) -> tuple[int, list]:
                 records += 1
     finally:
         counting._count_ext2 = count_ext2
+        for name, original in originals.items():
+            setattr(hasse_witt, name, original)
     out.write(json.dumps({"fp2_enumerations": enumerated}, separators=(",", ":")) + "\n")
-    return records, enumerated
+    walk = calls["_jacobian_survivors"]
+    routes = {"bsgs": records - calls["hasse_witt"], "w": calls["hasse_witt"] - walk, "walk": walk}
+    return records, enumerated, routes
 
 
 def main():
@@ -89,9 +106,10 @@ def main():
     args = ap.parse_args()
     t0 = time.perf_counter()
     with open(args.out, "w") as out:
-        records, enumerated = sweep(args.N, out)
+        records, enumerated, routes = sweep(args.N, out)
     top = max((p for _, p in enumerated), default=None)
-    print(f"{len(FIXED) + SEEDED} curves, {records} records, "
+    print(f"{len(FIXED) + SEEDED} curves, {records} records; c2 by BSGS {routes['bsgs']}, "
+          f"by W {routes['w']}, by the walk {routes['walk']}; "
           f"{len(enumerated)} F_{{p^2}} enumerations (largest p: {top}), "
           f"{time.perf_counter() - t0:.1f}s")
 

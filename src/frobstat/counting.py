@@ -24,7 +24,6 @@ table marks only the squares of that half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,30 +45,48 @@ def poly_discriminant(coeffs: list[int]) -> int:
     """Discriminant of f given ascending integer coefficients.
 
     disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f of degree n.  The
-    resultant comes from Euclid's algorithm over the rationals:
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
-    r = a mod b, Res(a, b) = 0 when r = 0 and deg b > 0, and
-    Res(a, c) = c^(deg a) for a constant c.
+    resultant comes from the subresultant pseudo-remainder sequence on
+    Python ints, every division exact (Cohen, "A Course in Computational
+    Algebraic Number Theory", Algorithm 3.3.7, without content removal):
+    B <- prem(A, B) / (g h^d) for d = deg A - deg B, then g = lc(A) and
+    h = g^d / h^(d-1), the sign flipping when deg A and deg B are both
+    odd; at a constant B the resultant is lc(B)^(deg A) / h^(deg A - 1).
     """
-    a = [Fraction(c) for c in poly_trim(list(coeffs))]
+    a = poly_trim(list(coeffs))
     n = len(a) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
+    sign = (-1) ** (n * (n - 1) // 2)
+    lead = a[-1]
     b = [i * c for i, c in enumerate(a)][1:]
-    res = Fraction((-1) ** (n * (n - 1) // 2), a[-1])
+    g = h = 1
     while len(b) > 1:
-        r = a[:]
-        while len(r) >= len(b):
-            q = r.pop() / b[-1]
-            shift = len(r) + 1 - len(b)
-            for i, c in enumerate(b[:-1]):
-                r[shift + i] -= q * c
-            poly_trim(r)
+        d = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
         if not r:
             return 0
-        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    return int(res * b[0] ** (len(a) - 1))
+        a, b = b, [c // (g * h**d) for c in r]
+        g = a[-1]
+        h = g**d // h ** (d - 1)
+    m = len(a) - 1
+    return sign * (b[0] ** m // h ** (m - 1)) // lead
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over the integers, for
+    deg a >= deg b."""
+    r, lead = a[:], b[-1]
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        q, shift = r[-1], len(r) - len(b)
+        r = [c * lead for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        poly_trim(r)
+        steps -= 1
+    return [c * lead**steps for c in r]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,26 @@
-"""Genus-2 L-polynomials from the Hasse-Witt matrix and the Jacobian order.
+"""Genus-2 L-polynomials from the Jacobian order, with the Hasse-Witt
+matrix where that order leaves c2 open.
 
 For y^2 = f(x) of genus 2 at a good prime p, the F_p count gives c1
-exactly.  The Hasse-Witt matrix W (W_ij is the coefficient of x^(ip-j) in
-f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin).  The Weil
-bound is an integer interval of c2, lpoly.weil_c2(p, c1), of width
-(2 sqrt(p) - |c1|/2)^2 <= 4p, so at most five c2 = det W + kp lie in it.
-When more than one does, the right one is the c2 whose #J(F_p) = P(1)
-kills points of the Jacobian, tested by Cantor's algorithm on a monic
-model (Kedlaya-Sutherland, "Computing L-series of hyperelliptic curves",
-ANTS VIII, 2008).  This costs O(p) operations on Python integers against
-the O(p^2) of counting over F_{p^2}.
+exactly, and the Weil bound leaves c2 in one integer interval,
+lpoly.weil_c2(p, c1), at most 4p wide.  #J(F_p) = P(1) must kill every
+point of the Jacobian.  Baby-step giant-step (BSGS) over that interval
+finds the c2 whose P(1) kills a base point D in about 4 sqrt(p) group
+operations by Cantor's algorithm on a monic model (Kedlaya-Sutherland,
+"Computing L-series of hyperelliptic curves", ANTS VIII, 2008); one such
+c2 is the answer.  D is the sum of the first two points with y != 0: a
+point with y = 0 is a Weierstrass point, of order 2.
+
+Only where BSGS leaves more than one c2, because D has a small order (on
+split Jacobians, mostly), or finds no base point, does the O(p) route
+run: the Hasse-Witt matrix W (W_ij is the coefficient of x^(ip-j) in
+f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin); the c2
+congruent to det W among BSGS's are kept, and the further points P - inf
+of the Jacobian are tried in turn, by the same search, until one is left.  Where
+they leave more than one, which no prime above 7 has done,
+counting.frobenius enumerates F_{p^2} in O(p^2) steps.  On the primes
+that BSGS settles W is not built, so tr W = -c1 goes unchecked there; the
+Weil bound, and a BSGS that finds no c2 at all, still raise.
 
 The path holds at every odd good prime.  The model is f over its leading
 coefficient, the curve or its quadratic twist, whose Jacobian has order
@@ -17,13 +28,12 @@ P(-1); a sextic with a root mod p is first made a quintic.  A sextic
 without one keeps a real model of degree 6, whose classes are balanced
 divisors (Galbraith-Harrison-Mireles Morales, "Efficient hyperelliptic
 arithmetic using balanced representation for divisors", ANTS VIII, 2008).
-Every point of the Jacobian of the form P - inf is tried in turn until one
-candidate is left.  Where they leave more than one, which no prime above 7
-has done, counting.frobenius enumerates F_{p^2} in O(p^2) steps.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -322,26 +332,74 @@ def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
             yield point + (0,) if len(F) == 7 else point
 
 
-def _jacobian_survivors(F, c1: int, candidates: list[int], chi, p: int) -> list[int]:
-    """The candidates c2 whose P(1) = p^2 + 1 + (p + 1) c1 + c2 kills each
-    point tried, stopping early once one is left.
+def _key(d):
+    """A divisor class as a dict key: its reduced form, unique to it."""
+    return (tuple(d[0]), tuple(d[1])) + d[2:]
 
-    The candidates are congruent mod p, so N = P(1) runs along N_0 + kp;
-    N_k D = N_0 D + k (pD) holds only along that full progression, so the
-    walk steps through every k between the first and the last survivor.
+
+def _killers(F: list[int], D, base: int, candidates: range, p: int) -> range:
+    """The c2 in candidates, an arithmetic progression c + k e for
+    0 <= k < K, whose P(1) = base + c2 kills the class D, by baby-step
+    giant-step (Shanks).
+
+    With E = e D the condition is (base + c) D + k E = 0, which holds on
+    k = k0 mod ord(E).  Baby steps key j E by class for j < m, m^2 >= K; a
+    repeat, first met at j = ord(E) as the neutral class, ends them with
+    the order known, and k0 is read from the table.  Otherwise giant steps
+    (base + c) D + i (m E), i <= m, meet baby step j at k = i m - j, which
+    covers each k in [0, K) once and negates no class; the first two hits
+    in range differ by ord(E).
     """
+    count = len(candidates)
+    if not count:
+        return candidates
     neutral = _neutral(F)
+    E = cantor_mul(candidates.step, D, F, p)
+    m = math.isqrt(count - 1) + 1
+    baby, step = {}, neutral
+    for j in range(m):
+        if j and step == neutral:
+            break
+        baby[_key(step)] = j
+        step = cantor_add(step, E, F, p)
+    giant = cantor_mul(base + candidates.start, D, F, p)
+    if len(baby) < m:
+        order, j = len(baby), baby.get(_key(giant))
+        return candidates[:0] if j is None else candidates[-j % order :: order]
+    hits = []
+    for i in range(m + 1):
+        j = baby.get(_key(giant))
+        if j is not None and 0 <= i * m - j < count:
+            hits.append(i * m - j)
+            if len(hits) == 2:
+                return candidates[hits[0] :: hits[1] - hits[0]]
+        giant = cantor_add(giant, step, F, p)
+    return candidates[hits[0] : hits[0] + 1] if hits else candidates[:0]
+
+
+def _base_point(F: list[int], chi: np.ndarray, p: int):
+    """D = P1 + P2 for the first two Jacobian points with y != 0, or None
+    when there are fewer.  A point with y = 0 is a Weierstrass point, of
+    order 2, and D has weight two, so its multiples meet the explicit
+    formulas."""
+    pair = list(islice((point for point in _jacobian_points(F, chi, p) if point[1]), 2))
+    return cantor_add(*pair, F, p) if len(pair) == 2 else None
+
+
+def _congruent(r: range, a: int, p: int) -> range:
+    """The elements of r congruent to a mod the prime p."""
+    if r.step % p:
+        return r[(a - r.start) * pow(r.step, -1, p) % p :: p]
+    return r if (a - r.start) % p == 0 else r[:0]
+
+
+def _jacobian_survivors(F, base: int, candidates: range, chi, p: int) -> range:
+    """The candidates c2 whose P(1) = base + c2 kills each Jacobian point
+    tried, stopping early once one is left."""
     for point in _jacobian_points(F, chi, p):
         if len(candidates) <= 1:
             break
-        step = cantor_mul(p, point, F, p)
-        acc = cantor_mul(p * p + 1 + (p + 1) * c1 + candidates[0], point, F, p)
-        survivors = []
-        for c2 in range(candidates[0], candidates[-1] + 1, p):
-            if acc == neutral and c2 in candidates:
-                survivors.append(c2)
-            acc = cantor_add(acc, step, F, p)
-        candidates = survivors
+        candidates = _killers(F, point, base, candidates, p)
     return candidates
 
 
@@ -351,23 +409,34 @@ def hasse_witt_lpoly(
     """The genus-2 L-polynomial at an odd good prime p, given c1 from the
     F_p count, the character table chi and values = f mod p at every x in
     F_p; None when the Jacobian points leave more than one c2, so the
-    caller has to enumerate F_{p^2}.  LPolyValidationError when W
-    contradicts c1 or no candidate survives, which would be a bug; a c1
-    outside the Weil bound c1^2 <= 16p leaves no candidate.  The
-    Jacobian searched is that of the monic model, a twist when s = -1, so
-    its order is P(1) with s c1 in place of c1.
+    caller has to enumerate F_{p^2}.
+
+    The Jacobian searched is that of the monic model, a twist when s = -1,
+    so its order is P(1) with s c1 in place of c1.  BSGS first finds the c2
+    in weil_c2(p, c1) whose P(1) kills the base point D; a single one is
+    the answer, and W is not built, so tr W = -c1 goes unchecked on those
+    primes.  Otherwise W keeps the c2 = det W mod p among BSGS's, whose
+    P(1) are the multiples of ord(D) in range, and the Jacobian points
+    pick among what is left.  LPolyValidationError when no c2 kills D or
+    survives, or W contradicts c1, which would be a bug; a c1 outside the
+    Weil bound c1^2 <= 16p leaves no candidate.
     """
     f = [a % p for a in f_coeffs]
-    trace, det = hasse_witt(f, p)
-    if (c1 + trace) % p:
-        raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")
-    span = weil_c2(p, c1)
-    candidates = list(span[(det - span.start) % p :: p])
-    if len(candidates) > 1:
-        F, s = monic_model(f, p, chi, values)
-        candidates = _jacobian_survivors(F, s * c1, candidates, chi, p)
+    F, s = monic_model(f, p, chi, values)
+    base = p * p + 1 + (p + 1) * s * c1
+    candidates = weil_c2(p, c1)
+    D = _base_point(F, chi, p)
+    if D is not None:
+        candidates = _killers(F, D, base, candidates, p)
+    if D is None or len(candidates) > 1:
+        trace, det = hasse_witt(f, p)
+        if (c1 + trace) % p:
+            raise LPolyValidationError(f"tr W = {trace} contradicts c1 = {c1} at p={p}")
+        candidates = _congruent(candidates, det, p)
+        if len(candidates) > 1:
+            candidates = _jacobian_survivors(F, base, candidates, chi, p)
     if not candidates:
-        raise LPolyValidationError(f"no c2 = {det} mod {p} fits the Jacobian at p={p}")
+        raise LPolyValidationError(f"no c2 in the Weil bound fits the Jacobian at p={p}")
     if len(candidates) > 1:
         return None
     return LPoly(genus=2, p=p, c1=c1, c2=candidates[0])

@@ -1,7 +1,12 @@
-"""The genus-2 path through the Hasse-Witt matrix and the Jacobian order,
-checked against the numpy F_{p^2} count of the tests' oracles."""
+"""The genus-2 path through the Jacobian order, by baby-step giant-step
+(BSGS) first and by the Hasse-Witt matrix and the walk where BSGS leaves c2
+open, checked against the numpy F_{p^2} count of the tests' oracles.  The
+tests that aim at W and the walk make BSGS abstain."""
 
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,13 +21,22 @@ from frobstat.hasse_witt import (
     hasse_witt_lpoly,
     monic_model,
 )
-from frobstat.lpoly import lpoly_from_counts, normalize, weil_ok
+from frobstat.lpoly import LPolyValidationError, lpoly_from_counts, normalize, weil_ok
 from frobstat.scan import record_for_prime
 from frobstat.stats import ScanRecord
 
 from oracles import count_ext2, legendre, poly_derivative, poly_gcd, roots_mod_p
 
 PRIMES = sieve_primes(2000)[1:]
+
+
+def sweep_curves():
+    """The fixed curves of scripts/record_sweep.py."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "record_sweep.py"
+    spec = importlib.util.spec_from_file_location("record_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FIXED
 
 
 def counted_record(curve, p):
@@ -52,6 +66,25 @@ def jacobian_points(curve, p):
 
 def must_not_count(curve, p, chi):
     raise AssertionError("the F_{p^2} count ran")
+
+
+def without_bsgs(monkeypatch):
+    """Make BSGS abstain, as where no base point exists, so that W and
+    the walk decide every prime."""
+    monkeypatch.setattr(hasse_witt, "_base_point", lambda F, chi, p: None)
+
+
+def spy_w(monkeypatch):
+    """The primes at which W is built, appended as it is."""
+    built = []
+    matrix = hasse_witt.hasse_witt
+
+    def spy(f, p):
+        built.append(p)
+        return matrix(f, p)
+
+    monkeypatch.setattr(hasse_witt, "hasse_witt", spy)
+    return built
 
 
 def squarefree(F, p):
@@ -243,32 +276,56 @@ def curve_at_prime(draw):
     return curve, p
 
 
-def test_hasse_witt_path_matches_the_count(monkeypatch):
+def check_the_path_against_the_count(monkeypatch, bsgs):
+    """Draws of curve_at_prime, with BSGS first or abstaining."""
     chose = []
     survivors = hasse_witt._jacobian_survivors
 
-    def spy(F, c1, candidates, chi, p):
+    def spy(F, base, candidates, chi, p):
         chose.append(len(candidates))
-        return survivors(F, c1, candidates, chi, p)
+        return survivors(F, base, candidates, chi, p)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
+    built = spy_w(monkeypatch)
+    if not bsgs:
+        without_bsgs(monkeypatch)
+    with_w = []
 
     @given(case=curve_at_prime())
     @settings(max_examples=40, deadline=None)
     def check(case):
         curve, p = case
         assert len(curve.f_coeffs) == 6 or roots_mod_p(curve.f_coeffs, p)
+        built.clear()
         assert record_for_prime(curve, p) == counted_record(curve, p)
+        assert built == [p] or bsgs and not built
+        with_w.append(bool(built))
 
     check()
-    # most draws leave several c2 for the Jacobian to choose from
-    assert sum(n > 1 for n in chose) >= 10
+    if bsgs:
+        # BSGS settles most draws, and W is built only for the rest
+        assert 2 * sum(with_w) < len(with_w)
+    else:
+        # most draws leave several c2 for the Jacobian to choose from
+        assert sum(n > 1 for n in chose) >= 10
 
 
-def test_two_torsion_first_point_leaves_survivors_apart():
+def test_hasse_witt_path_matches_the_count(monkeypatch):
+    # BSGS abstains, so W and the walk decide every draw
+    check_the_path_against_the_count(monkeypatch, bsgs=False)
+
+
+def test_bsgs_path_matches_the_count(monkeypatch):
+    # the same draws with BSGS first
+    check_the_path_against_the_count(monkeypatch, bsgs=True)
+
+
+def test_two_torsion_first_point_leaves_survivors_apart(monkeypatch):
     # f(0) = 0 mod 11 makes (x, 0) a 2-torsion point, and it is the first
     # one tried: it keeps the candidates whose P(1) is even, -12 and 10 of
-    # -12, -1, 10, 21, so the next point has to walk through -1 as well
+    # -12, -1, 10, 21, so the next point has to walk through -1 as well;
+    # BSGS abstains, as its order would leave W only 10
+    without_bsgs(monkeypatch)
     curve, p = make_curve([0, -2, -2, -2, -1, 1]), 11
     F, _, points = jacobian_points(curve, p)
     assert points[0] == ([0, 1], [])
@@ -342,19 +399,13 @@ def test_unresolved_candidates_fall_back_to_the_count(monkeypatch):
     assert counted == [p]
 
 
-def test_rootless_sextic_builds_w_and_skips_the_count(monkeypatch):
-    # the first prime p >= 17 where the sextic has no root mod p, with
-    # leading coefficient 1 and 2, not a square mod the second's p = 19:
-    # W is built, c2 is picked on the real model, and nothing is counted
-    # over F_{p^2}
-    built = []
-    matrix = hasse_witt.hasse_witt
-
-    def spy(f, p):
-        built.append(p)
-        return matrix(f, p)
-
-    monkeypatch.setattr(hasse_witt, "hasse_witt", spy)
+def check_the_first_rootless_primes(monkeypatch, bsgs):
+    """The first prime p >= 17 where the sextic has no root mod p, with
+    leading coefficient 1 and 2, not a square mod the second's p = 19:
+    c2 is picked on the real model, and nothing is counted over F_{p^2}."""
+    built = spy_w(monkeypatch)
+    if not bsgs:
+        without_bsgs(monkeypatch)
     monkeypatch.setattr(counting, "_count_ext2", must_not_count)
     for f_coeffs in ([2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]):
         curve = make_curve(f_coeffs)
@@ -363,7 +414,16 @@ def test_rootless_sextic_builds_w_and_skips_the_count(monkeypatch):
         expected = counted_record(curve, p)
         built.clear()
         assert record_for_prime(curve, p) == expected
-        assert built == [p]
+        assert built == ([] if bsgs else [p])
+
+
+def test_rootless_sextic_builds_w_and_skips_the_count(monkeypatch):
+    # with BSGS abstaining, W is built and the walk picks c2
+    check_the_first_rootless_primes(monkeypatch, bsgs=False)
+
+
+def test_rootless_sextic_settled_by_bsgs_skips_w_and_the_count(monkeypatch):
+    check_the_first_rootless_primes(monkeypatch, bsgs=True)
 
 
 @st.composite
@@ -390,31 +450,51 @@ def rootless_sextic_at_prime(draw):
     return curve, p
 
 
-def test_rootless_sextics_match_the_count(monkeypatch):
+def check_rootless_sextics_against_the_count(monkeypatch, bsgs):
+    """Draws of rootless_sextic_at_prime, with BSGS first or abstaining."""
     chose = []
     survivors = hasse_witt._jacobian_survivors
 
-    def spy(F, c1, candidates, chi, p):
+    def spy(F, base, candidates, chi, p):
         assert len(F) == 7
         chose.append(len(candidates))
-        return survivors(F, c1, candidates, chi, p)
+        return survivors(F, base, candidates, chi, p)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
     monkeypatch.setattr(counting, "_count_ext2", must_not_count)
+    built = spy_w(monkeypatch)
+    if not bsgs:
+        without_bsgs(monkeypatch)
 
-    characters = set()
+    characters, with_w = set(), []
 
     @given(case=rootless_sextic_at_prime())
     @settings(max_examples=30, deadline=None)
     def check(case):
         curve, p = case
         characters.add(legendre(p, curve.leading))
+        built.clear()
         assert record_for_prime(curve, p) == counted_record(curve, p)
+        assert built == [p] or bsgs and not built
+        with_w.append(bool(built))
 
     check()
     assert characters == {1, -1}
-    # most draws leave several c2 for the real model's Jacobian to choose
-    assert sum(n > 1 for n in chose) >= 10
+    if bsgs:
+        # BSGS settles most draws on the real model, without W
+        assert 2 * sum(with_w) < len(with_w)
+    else:
+        # most draws leave several c2 for the real model's Jacobian to choose
+        assert sum(n > 1 for n in chose) >= 10
+
+
+def test_rootless_sextics_match_the_count(monkeypatch):
+    # BSGS abstains, so W and the walk on the real model decide every draw
+    check_rootless_sextics_against_the_count(monkeypatch, bsgs=False)
+
+
+def test_rootless_sextics_match_the_count_by_bsgs(monkeypatch):
+    check_rootless_sextics_against_the_count(monkeypatch, bsgs=True)
 
 
 @pytest.mark.parametrize("f_coeffs,primes", [
@@ -469,3 +549,87 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
     assert evaluated == primes
     assert ext2 == (primes if f_coeffs == [0, -1, 0, 0, 0, 1] else [])
     assert trial == primes
+
+
+def test_bsgs_c2_matches_the_hasse_witt_route(monkeypatch):
+    # at every good prime below 400 of the record sweep's fixed curves
+    # (split Jacobians and twisted models among them) and four generic
+    # ones, the L-polynomial found with BSGS first equals the one W and
+    # the walk find alone; BSGS settles most primes, and each later stage
+    # (W with BSGS's order, then the walk) still decides some
+    generic = [[2, 0, 2, -1, 1, 3], [13, 1, 0, 2, 0, 3], [3, -1, -1, 3, -1, -2, 2],
+               [-6, 4, 9, 8, 1, 9, 4]]
+    built, walked = spy_w(monkeypatch), []
+    survivors = hasse_witt._jacobian_survivors
+
+    def spy(F, base, candidates, chi, p):
+        walked.append(p)
+        return survivors(F, base, candidates, chi, p)
+
+    monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
+    routes = Counter()
+    for f_coeffs in sweep_curves() + generic:
+        curve = make_curve(f_coeffs)
+        for p in counting.good_primes(curve, 400):
+            chi, vals = character_table(p), values(curve, p)
+            c1 = counting._count_ext1(curve, p, chi, vals) - p - 1
+            built.clear(), walked.clear()
+            found = hasse_witt_lpoly(curve.f_coeffs, p, c1, chi, vals)
+            routes["walk" if walked else "w" if built else "bsgs"] += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(hasse_witt, "_base_point", lambda F, chi, p: None)
+                assert found == hasse_witt_lpoly(curve.f_coeffs, p, c1, chi, vals), (f_coeffs, p)
+    assert routes["bsgs"] > routes["w"] + routes["walk"]
+    assert routes["w"] >= 10 and routes["walk"] >= 10
+
+
+def test_base_points_skip_the_weierstrass_points_of_x5_minus_x():
+    # x^5 - x vanishes at x = 0, 1 and -1, the first points tried, whose
+    # classes are 2-torsion; the base point is the sum of the first two
+    # points with y != 0, of order above 2, or None at p = 3 and 5, where
+    # every point has y = 0
+    curve = make_curve([0, -1, 0, 0, 0, 1])
+    for p in counting.good_primes(curve, 400):
+        F, _, points = jacobian_points(curve, p)
+        D = hasse_witt._base_point(F, character_table(p), p)
+        moving = [point for point in points if point[1]]
+        if p <= 5:
+            assert D is None and not moving
+            continue
+        assert points[:2] == [([0, 1], []), ([p - 1, 1], [])]
+        assert -moving[0][0][0] % p not in (0, 1, p - 1)
+        assert D == cantor_add(moving[0], moving[1], F, p)
+        assert cantor_add(D, D, F, p) != hasse_witt._NEUTRAL
+
+
+def test_bsgs_without_a_hit_raises(monkeypatch):
+    # c1 off by 5 moves the orders P(1) of the interval by 5 (p + 1), past
+    # #J, so no c2 in it kills D, and BSGS raises before W is built
+    curve, p = make_curve([1, -1, 0, 0, 0, 1]), 1021
+    c1 = counted_record(curve, p).c1
+    built = spy_w(monkeypatch)
+    with pytest.raises(LPolyValidationError, match="fits the Jacobian"):
+        hasse_witt_lpoly(curve.f_coeffs, p, c1 + 5, character_table(p), values(curve, p))
+    assert built == []
+
+
+@given(p=st.sampled_from([5, 7, 11, 13, 31]), degree=st.sampled_from([5, 6]),
+       seed=st.integers(0, 2**48 - 1), pick=st.integers(0, 99), double=st.booleans(),
+       start=st.integers(-50, 50), step=st.integers(1, 12), count=st.integers(0, 80))
+@settings(max_examples=150, deadline=None)
+def test_bsgs_keeps_exactly_the_c2_whose_order_kills_the_class(
+        p, degree, seed, pick, double, start, step, count):
+    # on progressions of every step and length, for weight-one classes
+    # (2-torsion ones included, whose baby steps repeat at once) and sums
+    # of two, the c2 BSGS keeps are those whose base + c2 kills D
+    F = [(seed >> (8 * i)) % p for i in range(degree)] + [1]
+    assume(squarefree(F, p))
+    points = list(hasse_witt._jacobian_points(F, character_table(p), p))
+    assume(len(points) >= 2)
+    D = points[pick % len(points)]
+    if double:
+        D = cantor_add(D, points[(pick + 1) % len(points)], F, p)
+    base, neutral = p * p + 50, hasse_witt._neutral(F)
+    candidates = range(start, start + step * count, step)
+    kept = hasse_witt._killers(F, D, base, candidates, p)
+    assert list(kept) == [c2 for c2 in candidates if cantor_mul(base + c2, D, F, p) == neutral]

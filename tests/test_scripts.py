@@ -31,3 +31,11 @@ def test_script_runs_at_tiny_size(monkeypatch, capsys, name, argv, expect, refus
     assert expect in out
     if refuse:
         assert refuse not in out
+
+
+def test_record_sweep_counts_the_routes(monkeypatch, capsys):
+    # the console line counts the records by the route that settled c2,
+    # and the three counts add up to the records
+    monkeypatch.setattr(sys, "argv", ["record_sweep.py", "--N", "14", "--out", os.devnull])
+    _main("record_sweep")()
+    assert "253 records; c2 by BSGS 168, by W 39, by the walk 46;" in capsys.readouterr().out
