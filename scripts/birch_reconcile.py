@@ -16,9 +16,9 @@ from frobstat.birch import (
     catalan_trend,
     tau_of_prime,
 )
-from frobstat.haar import closed_form_moment
+from frobstat.haar import exact_moment
 
-CATALAN = [closed_form_moment("catalan", d) for d in range(1, 6)]
+CATALAN = [exact_moment("SU(2)", 2 * d) for d in range(1, 6)]
 
 
 def reconcile(p):

@@ -15,15 +15,12 @@ The L-polynomial is the one Weil check: lpoly_from_counts and
 hasse_witt_lpoly raise LPolyValidationError for counts no Weil-admissible
 polynomial gives, and a Weil-admissible one keeps every count it predicts
 inside the Hasse-Weil interval.
-
-f mod p is evaluated on half of F_p: the even and odd parts of f at
-s = x^2 for x = 1..(p-1)/2 give f(x) and f(-x) at once, as the character
-table marks only the squares of that half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,48 +42,30 @@ def poly_discriminant(coeffs: list[int]) -> int:
     """Discriminant of f given ascending integer coefficients.
 
     disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f of degree n.  The
-    resultant comes from the subresultant pseudo-remainder sequence on
-    Python ints, every division exact (Cohen, "A Course in Computational
-    Algebraic Number Theory", Algorithm 3.3.7, without content removal):
-    B <- prem(A, B) / (g h^d) for d = deg A - deg B, then g = lc(A) and
-    h = g^d / h^(d-1), the sign flipping when deg A and deg B are both
-    odd; at a constant B the resultant is lc(B)^(deg A) / h^(deg A - 1).
+    resultant comes from Euclid's algorithm over the rationals:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, Res(a, b) = 0 when r = 0 and deg b > 0, and
+    Res(a, c) = c^(deg a) for a constant c.
     """
-    a = poly_trim(list(coeffs))
+    a = [Fraction(c) for c in poly_trim(list(coeffs))]
     n = len(a) - 1
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    sign = (-1) ** (n * (n - 1) // 2)
-    lead = a[-1]
     b = [i * c for i, c in enumerate(a)][1:]
-    g = h = 1
+    res = Fraction((-1) ** (n * (n - 1) // 2), a[-1])
     while len(b) > 1:
-        d = len(a) - len(b)
-        if len(a) % 2 == 0 and len(b) % 2 == 0:
-            sign = -sign
-        r = _pseudo_remainder(a, b)
+        r = a[:]
+        while len(r) >= len(b):
+            q = r.pop() / b[-1]
+            shift = len(r) + 1 - len(b)
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= q * c
+            poly_trim(r)
         if not r:
             return 0
-        a, b = b, [c // (g * h**d) for c in r]
-        g = a[-1]
-        h = g**d // h ** (d - 1)
-    m = len(a) - 1
-    return sign * (b[0] ** m // h ** (m - 1)) // lead
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) a mod b over the integers, for
-    deg a >= deg b."""
-    r, lead = a[:], b[-1]
-    steps = len(a) - len(b) + 1
-    while len(r) >= len(b):
-        q, shift = r[-1], len(r) - len(b)
-        r = [c * lead for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        poly_trim(r)
-        steps -= 1
-    return [c * lead**steps for c in r]
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(res * b[0] ** (len(a) - 1))
 
 
 @dataclass(frozen=True)
@@ -188,34 +167,19 @@ def frobenius(curve: HyperellipticCurve, p: int) -> tuple[int, LPoly]:
 
 
 def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
-    """f(x) mod p at every x in F_p, from f's even and odd parts on half of
-    F_p; coeffs ascending, reduced, p an odd prime.
+    """f(x) mod p at every x in F_p by one Horner pass in place; coeffs
+    ascending, reduced, p an odd prime.
 
-    With f(x) = E(x^2) + x O(x^2), s = x^2 and t = x O(s) for x = 1..(p-1)/2
-    give f(x) = E(s) + t and f(-x) = E(s) - t, each brought into [0, p) by
-    one conditional p.  The largest int64 intermediate is a Horner step
-    acc * s + a <= (p-1)^2 + p - 1 < p^2, exact for every p with
-    p^2 < 2^63, which _check_reduction enforces first.
+    The largest int64 intermediate is a step acc * x + a <= (p-1)^2 + p - 1
+    < p^2, exact for every p with p^2 < 2^63, which _check_reduction
+    enforces first.
     """
-    half = (p - 1) // 2
-    x = np.arange(1, half + 1, dtype=np.int64)
-    s = reduce_mod(x * x, p)
-    even = _horner(coeffs[0::2], s, p)
-    t = reduce_mod(_horner(coeffs[1::2], s, p) * x, p)
-    out = np.empty(p, dtype=np.int64)
-    out[0] = coeffs[0]
-    np.add(even, t, out=out[1 : half + 1])
-    np.subtract(even + p, t, out=out[:half:-1])  # f(p - x) = f(-x)
-    np.subtract(out, p, out=out, where=out >= p)
-    return out
-
-
-def _horner(coeffs: list[int], s: np.ndarray, p: int) -> np.ndarray | int:
-    """sum coeffs[i] s^i mod p at every s, by Horner; coeffs ascending,
-    reduced.  A list of at most one coefficient gives that int (0 if empty)."""
-    acc = coeffs[-1] if coeffs else 0
+    x = np.arange(p, dtype=np.int64)
+    acc = np.full(p, coeffs[-1], dtype=np.int64)
     for a in coeffs[-2::-1]:
-        acc = reduce_mod(acc * s + a, p)
+        acc *= x
+        acc += a
+        reduce_mod(acc, p)
     return acc
 
 

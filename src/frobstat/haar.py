@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, pi
+from math import pi
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "get_entry",
     "exact_moment",
     "moment_orders",
-    "closed_form_moment",
     "sample_classes",
     "st_axiom_check",
 ]
@@ -292,17 +291,6 @@ def exact_moment(group_id: str, d1: int, d2: int = 0) -> Fraction:
     the torus, each coset contributes its class's a1^d1.
     """
     return _entry_moment(get_entry(group_id), d1, d2)
-
-
-def closed_form_moment(kind: str, d: int) -> Fraction:
-    """Reference closed forms for the genus-1 groups' even moments M_{2d}."""
-    if kind == "catalan":
-        return Fraction(comb(2 * d, d), d + 1)
-    if kind == "central_binomial":
-        return Fraction(comb(2 * d, d))
-    if kind == "half_central_binomial":
-        return Fraction(1) if d == 0 else Fraction(comb(2 * d, d), 2)
-    raise ValueError(f"unknown closed form {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ correct versions of quantities the runtime computes another way.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -316,3 +317,14 @@ def trace_stats(genus: int, angles: np.ndarray):
         return 2.0 * np.cos(angles[:, 0]), None
     c1, c2 = np.cos(angles[:, 0]), np.cos(angles[:, 1])
     return 2.0 * (c1 + c2), 2.0 + 4.0 * c1 * c2
+
+
+def closed_form_moment(kind: str, d: int) -> Fraction:
+    """Reference closed forms for the genus-1 groups' even moments M_{2d}."""
+    if kind == "catalan":
+        return Fraction(math.comb(2 * d, d), d + 1)
+    if kind == "central_binomial":
+        return Fraction(math.comb(2 * d, d))
+    if kind == "half_central_binomial":
+        return Fraction(1) if d == 0 else Fraction(math.comb(2 * d, d), 2)
+    raise ValueError(f"unknown closed form {kind!r}")

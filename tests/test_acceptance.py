@@ -20,7 +20,6 @@ from frobstat.chebotarev import chebotarev_scan, parse_cycles
 from frobstat.counting import make_curve
 from frobstat.haar import (
     catalog,
-    closed_form_moment,
     exact_moment,
     get_entry,
     sample_classes,
@@ -36,7 +35,7 @@ from frobstat.stats import (
     records_density_map,
 )
 
-from oracles import chi2_direct, smallest_nonresidue, trace_stats
+from oracles import chi2_direct, closed_form_moment, smallest_nonresidue, trace_stats
 
 GENUS2_GROUPS = ("USp(4)", "SU(2)xSU(2)", "U(1)xSU(2)", "U(1)xU(1)",
                  "SU(2)_2", "U(1)_2")

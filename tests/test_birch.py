@@ -11,9 +11,7 @@ from frobstat.birch import (
     ramanujan_tau,
     tau_of_prime,
 )
-from frobstat.haar import closed_form_moment
-
-from oracles import ap_distribution_per_a, singular_count
+from oracles import ap_distribution_per_a, closed_form_moment, singular_count
 
 
 def _slow_distribution(p):

@@ -212,8 +212,10 @@ def test_the_largest_admitted_prime_keeps_the_tables_inside_int64():
     counting._check_reduction(make_curve([1, 1, 0, 1]), p)
     for q in (p, bound):
         half = (q - 1) // 2
-        # x^2, a Horner step acc * s + a, x * O(s) and E - t + q in
-        # _values_mod_p; x^2 in character_table
+        # x^2 with x <= (q-1)/2 in character_table and in hasse_witt's
+        # table of square roots; a Horner step acc * x + a in _values_mod_p.
+        # The last two, a value below q times such an x and the sum of two
+        # values below q, are looser than the Horner step and kept as margins
         assert half * half < q * q
         assert (q - 1) * (q - 1) + q - 1 < q * q
         assert half * (q - 1) < q * q
@@ -249,6 +251,13 @@ def test_half_range_values_match_horner_below_3000():
             got = counting._values_mod_p(coeffs, p)
             if got.dtype != np.int64 or not (got == values_mod_p_horner(coeffs, p)).all():
                 mismatches.append((f, p))
+    # values_mod_p_horner runs the same Horner scheme, so check a few primes
+    # against the direct sum of c_i x^i with Python integers as well
+    for p in (3, 5, 101, 1009):
+        for f in cases:
+            direct = [sum(c * pow(x, i, p) for i, c in enumerate(f)) % p for x in range(p)]
+            if counting._values_mod_p([a % p for a in f], p).tolist() != direct:
+                mismatches.append((f, p, "direct"))
     assert mismatches == []
 
 

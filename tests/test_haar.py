@@ -11,7 +11,6 @@ from frobstat.haar import (
     STGroupEntry,
     _entry_moment,
     catalog,
-    closed_form_moment,
     exact_moment,
     get_entry,
     sample_classes,
@@ -19,7 +18,7 @@ from frobstat.haar import (
 )
 from frobstat.laurent import LaurentPoly
 
-from oracles import eval_angles, trace_stats
+from oracles import closed_form_moment, eval_angles, trace_stats
 
 GENUS1 = ["U(1)", "SU(2)", "N(U(1))"]
 GENUS2 = ["U(1)_2", "SU(2)_2", "U(1)xU(1)", "U(1)xSU(2)", "SU(2)xSU(2)", "USp(4)"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobstat
 from frobstat import cli, counting, scan
 from frobstat.counting import count_points, good_primes, make_curve
 from frobstat.arith import sieve_primes
@@ -423,6 +424,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["density", "--in", str(g1), "--value", "1/0"]) == 2
     assert cli.main(["hist", "--in", str(g1), "--lo", "0", "--hi", "inf"]) == 2
     assert "nan" not in capsys.readouterr().out
+
+
+def test_public_names_are_pinned():
+    # the package's public names are part of its contract, in this order
+    assert frobstat.__all__ == [
+        "HyperellipticCurve", "make_curve", "count_points", "good_primes",
+        "LPoly", "lpoly_from_counts", "predicted_count", "normalize", "weil_check",
+        "catalog", "exact_moment", "sample_classes", "st_axiom_check",
+        "ScanRecord", "empirical_moments", "empirical_density", "classify",
+        "ScanConfig", "run_scan", "scan_curve",
+    ]
+    assert all(hasattr(frobstat, name) for name in frobstat.__all__)
 
 
 GOOD_G2 = {"p": 5, "n1": 6, "n2": 26, "c1": 0, "c2": 0, "a1bar": 0.0, "a2bar": 0.0}
