@@ -66,11 +66,11 @@ def sweep(n: int, out) -> tuple[int, list, dict]:
     the number of records settled by each route."""
     enumerated, calls = [], {"hasse_witt": 0, "_jacobian_survivors": 0}
     originals = {name: getattr(hasse_witt, name) for name in calls}
-    count_ext2 = counting._count_ext2
+    count_ext2 = hasse_witt._count_ext2
 
-    def spy(curve, p, chi):
-        enumerated.append([list(curve.f_coeffs), p])
-        return count_ext2(curve, p, chi)
+    def spy(f_mod_p, p, chi):
+        enumerated.append([f, p])  # the curve of the loop below
+        return count_ext2(f_mod_p, p, chi)
 
     def counted(name):
         def call(*args):
@@ -78,7 +78,7 @@ def sweep(n: int, out) -> tuple[int, list, dict]:
             return originals[name](*args)
         return call
 
-    counting._count_ext2 = spy
+    hasse_witt._count_ext2 = spy
     for name in calls:
         setattr(hasse_witt, name, counted(name))
     records = 0
@@ -90,7 +90,7 @@ def sweep(n: int, out) -> tuple[int, list, dict]:
                 out.write(json.dumps(line, separators=(",", ":")) + "\n")
                 records += 1
     finally:
-        counting._count_ext2 = count_ext2
+        hasse_witt._count_ext2 = count_ext2
         for name, original in originals.items():
             setattr(hasse_witt, name, original)
     out.write(json.dumps({"fp2_enumerations": enumerated}, separators=(",", ":")) + "\n")

@@ -48,7 +48,7 @@ def _rat(x: Fraction) -> str:
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.replace(" ", "").split(",") if t != "")
+        return tuple(int(t) for t in text.replace(" ", "").split(","))
     except ValueError as e:
         raise ValueError(f"bad coefficient list {text!r}: {e}") from None
 

@@ -2,19 +2,19 @@
 
 f has integer coefficients, degree 3..6 and a nonzero discriminant (from
 Euclid's resultant of f and f'), so the smooth model has genus 1 or 2.
-Counts are affine character sums plus the points at infinity of the
-smooth model: one point for odd deg f, and for even deg f two points when
-the leading coefficient is a square in the field (always true in F_{p^2}).
+The F_p count is the affine character sum plus the points at infinity of
+the smooth model: one point for odd deg f, and for even deg f two points
+when the leading coefficient is a square mod p.
 
 frobenius is the one per-prime route, read by count_points and
 scan.record_for_prime: one reduction check, one character table and one
-array of f mod p feed the F_p count and the L-polynomial (hasse_witt in
-genus 2), which gives the count over F_{p^2}.  F_{p^2} is enumerated only
-where the Jacobian points leave c2 open, as for x^5 - x at p = 3 and 5.
-The L-polynomial is the one Weil check: lpoly_from_counts and
-hasse_witt_lpoly raise LPolyValidationError for counts no Weil-admissible
-polynomial gives, and a Weil-admissible one keeps every count it predicts
-inside the Hasse-Weil interval.
+array of f mod p feed the F_p count and the L-polynomial, which gives the
+count over F_{p^2}.  hasse_witt_lpoly decides every genus-2 L-polynomial,
+and enumerates F_{p^2} itself where the Jacobian points leave c2 open, as
+for x^5 - x at p = 3 and 5.  The L-polynomial is the one Weil check:
+lpoly_from_counts and hasse_witt_lpoly raise LPolyValidationError for
+counts no Weil-admissible polynomial gives, and a Weil-admissible one
+keeps every count it predicts inside the Hasse-Weil interval.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def count_points(curve: HyperellipticCurve, p: int, ext: int = 1) -> int:
 
 def frobenius(curve: HyperellipticCurve, p: int) -> tuple[int, LPoly]:
     """(n1, L-polynomial) at p, from one table and one array of f mod p;
-    F_{p^2} is enumerated only where hasse_witt_lpoly leaves c2 open.
+    in genus 2 hasse_witt_lpoly decides the L-polynomial.
 
     Raises BadReductionError for unusable primes, and LPolyValidationError
     for counts that no Weil-admissible L-polynomial gives (which would be
@@ -160,10 +160,7 @@ def frobenius(curve: HyperellipticCurve, p: int) -> tuple[int, LPoly]:
     n1 = _count_ext1(curve, p, chi, values)
     if curve.genus == 1:
         return n1, lpoly_from_counts(1, p, n1)
-    lp = hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
-    if lp is None:
-        lp = lpoly_from_counts(2, p, n1, _count_ext2(curve, p, chi))
-    return n1, lp
+    return n1, hasse_witt_lpoly(curve.f_coeffs, p, n1 - p - 1, chi, values)
 
 
 def _values_mod_p(coeffs: list[int], p: int) -> np.ndarray:
@@ -193,25 +190,6 @@ def _count_ext1(curve: HyperellipticCurve, p: int, chi: np.ndarray, values: np.n
     else:
         inf = 2 if chi[curve.leading % p] == 1 else 0
     return affine + inf
-
-
-def _count_ext2(curve: HyperellipticCurve, p: int, chi: np.ndarray) -> int:
-    """Count over F_{p^2} = F_p[t]/(t^2 - d), d the smallest nonresidue, by
-    Horner and chi_p of the norm.  Conjugates have equal norms, so b > 0 up
-    to (p-1)/2 counts twice.  Both points at infinity of even deg f are
-    rational: lc(f) is a square in F_{p^2}."""
-    d, square = int(np.argmax(chi < 0)), chi.tolist()
-    coeffs = [c % p for c in reversed(curve.f_coeffs)]
-    char_sum = 0
-    for b in range((p + 1) // 2):
-        row = 0
-        for a in range(p):
-            u = v = 0
-            for c in coeffs:
-                u, v = (u * a + v * b * d + c) % p, (u * b + v * a) % p
-            row += square[(u * u - d * v * v) % p]
-        char_sum += row if b == 0 else 2 * row
-    return p * p + char_sum + (1 if curve.degree % 2 else 2)
 
 
 def good_primes(curve: HyperellipticCurve, n: int) -> list[int]:

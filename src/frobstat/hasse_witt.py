@@ -1,5 +1,5 @@
 """Genus-2 L-polynomials from the Jacobian order, with the Hasse-Witt
-matrix where that order leaves c2 open.
+matrix where that order leaves c2 open: hasse_witt_lpoly decides every one.
 
 For y^2 = f(x) of genus 2 at a good prime p, the F_p count gives c1
 exactly, and the Weil bound leaves c2 in one integer interval,
@@ -16,9 +16,9 @@ split Jacobians, mostly), or finds no base point, does the O(p) route
 run: the Hasse-Witt matrix W (W_ij is the coefficient of x^(ip-j) in
 f^((p-1)/2)) gives c1 = -tr W and c2 = det W mod p (Manin); the c2
 congruent to det W among BSGS's are kept, and the further points P - inf
-of the Jacobian are tried in turn, by the same search, until one is left.  Where
-they leave more than one, which no prime above 7 has done,
-counting.frobenius enumerates F_{p^2} in O(p^2) steps.  On the primes
+of the Jacobian are tried in turn, by the same search, until one is left.
+Where they leave more than one, which no prime above 7 has done, F_{p^2}
+is enumerated in O(p^2) steps and c2 read from that count.  On the primes
 that BSGS settles W is not built, so tr W = -c1 goes unchecked there; the
 Weil bound, and a BSGS that finds no c2 at all, still raise.
 
@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
 from .arith import poly_add, poly_divmod, poly_mul, poly_sub, poly_xgcd
-from .lpoly import LPoly, LPolyValidationError, weil_c2
+from .lpoly import LPoly, LPolyValidationError, lpoly_from_counts, weil_c2
 
-# the neutral divisor in Mumford form (u, v) = (1, 0), and on a real model
-# the balanced inf+ + inf- - (inf+ + inf-)
-_NEUTRAL = ([1], [])
-_REAL_NEUTRAL = ([1], [], 1)
+# the neutral class (u, v, n) = (1, 0, 1): on a real model the balanced
+# inf+ + inf- - (inf+ + inf-)
+_NEUTRAL = ([1], [], 1)
 
 
 def _shift(f: list[int], a: int, p: int) -> list[int]:
@@ -127,15 +125,15 @@ def monic_model(
 
 
 # ---------------------------------------------------------------------------
-# Cantor's algorithm on y^2 = F(x).  For F monic of degree 5 a divisor class
-# is (u, v) with u monic of degree <= 2, deg v < deg u and u | F - v^2, the
-# class of div(u, v) - (deg u) inf.  For F monic of degree 6 it is (u, v, n)
-# with (u, v) as before and 0 <= n <= 2 - deg u, the class of the balanced
-# divisor div(u, v) + n inf+ + (2 - deg u - n) inf- - (inf+ + inf-)
-# (Galbraith-Harrison-Mireles Morales, ANTS VIII, 2008); inf+ is the point
-# at infinity where y - V vanishes, for V the polynomial part of sqrt(F).
-# Either form is unique to its class, so a class is neutral exactly when it
-# equals _NEUTRAL or _REAL_NEUTRAL.
+# Cantor's algorithm on y^2 = F(x).  A divisor class is (u, v, n), u monic
+# of degree <= 2, deg v < deg u and u | F - v^2.  For F monic of degree 5
+# it is div(u, v) - (deg u) inf, and n = int(u == 1), as one point at
+# infinity leaves n nothing to count.  For F monic of degree 6 it is the
+# balanced div(u, v) + n inf+ + (2 - deg u - n) inf- - (inf+ + inf-) with
+# 0 <= n <= 2 - deg u (Galbraith-Harrison-Mireles Morales, ANTS VIII,
+# 2008); inf+ is the point at infinity where y - V vanishes, for V the
+# polynomial part of sqrt(F).  The form is unique to its class, so a class
+# is neutral exactly when it equals _NEUTRAL.
 
 def _div_linear(w1: int, w0: int, r1: int, r0: int, b1: int, b0: int, p: int):
     """(s1, s0) with s1 x + s0 = (w1 x + w0) / (r1 x + r0) mod
@@ -149,7 +147,7 @@ def _div_linear(w1: int, w0: int, r1: int, r0: int, b1: int, b0: int, p: int):
 
 
 def _add_weight_two(d1, d2, F: list[int], p: int):
-    """(u, v) of d1 + d2 for deg u1 = deg u2 = 2 in the generic case, by
+    """(u, v, 0) of d1 + d2 for deg u1 = deg u2 = 2 in the generic case, by
     explicit formulas, on a quintic or a real model; None when u1, u2 (or
     u1, v1 when doubling) share a root or the sum does not have degree 2,
     which the general steps handle.
@@ -161,7 +159,7 @@ def _add_weight_two(d1, d2, F: list[int], p: int):
     n = 0 keeps n = 0 when s1 != -1, as y - (v1 + u1 s) then has a pole of
     order 3 at inf-.
     """
-    (u1, v1), (u2, v2) = d1[:2], d2[:2]
+    (u1, v1, _), (u2, v2, _) = d1, d2
     a0, a1 = u1[0], u1[1]
     c0, c1 = (v1 + [0, 0])[:2]
     top = F[6] if len(F) == 7 else 0
@@ -195,7 +193,7 @@ def _add_weight_two(d1, d2, F: list[int], p: int):
     m = s0 + s1 * a1 - s1 * w1
     r1 = (s1 * w0 + m * w1 - s1 * a0 - s0 * a1 - c1) % p
     r0 = (m * w0 - s0 * a0 - c0) % p
-    return [w0, w1, 1], ([r0, r1] if r1 else [r0] if r0 else [])
+    return [w0, w1, 1], ([r0, r1] if r1 else [r0] if r0 else []), 0
 
 
 def cantor_add(d1, d2, F: list[int], p: int):
@@ -204,7 +202,7 @@ def cantor_add(d1, d2, F: list[int], p: int):
     if len(d1[0]) == len(d2[0]) == 3:
         total = _add_weight_two(d1, d2, F, p)
         if total is not None:
-            return total + (0,) if len(F) == 7 else total
+            return total
     if len(F) == 7:
         return _real_add(d1, d2, F, p)
     if d1[0] == [1]:
@@ -218,7 +216,7 @@ def _compose(d1, d2, F: list[int], p: int):
     """Cantor's composition: the semi-reduced (u, v) of div(u1, v1) +
     div(u2, v2), u monic and deg v < deg u, and the number of pairs
     P + iota(P) it took out, the degree of the gcd that removed them."""
-    (u1, v1), (u2, v2) = d1[:2], d2[:2]
+    (u1, v1, _), (u2, v2, _) = d1, d2
     d0, e1, e2 = poly_xgcd(u1, u2, p)
     if d0 == [1]:
         d, s1, s2, s3 = d0, e1, e2, []
@@ -245,7 +243,7 @@ def _cantor(d1, d2, F: list[int], p: int):
         u = poly_divmod(poly_sub(F, poly_mul(v, v, p), p), u, p)[0]
         v = poly_divmod(poly_sub([], v, p), u, p)[1]
     inv = pow(u[-1], p - 2, p)
-    return [c * inv % p for c in u], v
+    return [c * inv % p for c in u], v, int(len(u) == 1)
 
 
 def _sqrt_part(F: list[int], p: int) -> list[int]:
@@ -294,10 +292,6 @@ def _real_add(d1, d2, F: list[int], p: int):
     return u, poly_divmod(poly_sub([], w, p), u, p)[1], n + d - pole - 1
 
 
-def _neutral(F: list[int]):
-    return _REAL_NEUTRAL if len(F) == 7 else _NEUTRAL
-
-
 def cantor_mul(n: int, d, F: list[int], p: int):
     """n * d for n >= 0 by double and add.  A divisor of degree 1 is
     doubled first, so that the additions meet the weight-two formulas."""
@@ -305,7 +299,7 @@ def cantor_mul(n: int, d, F: list[int], p: int):
         half = cantor_mul(n >> 1, cantor_add(d, d, F, p), F, p)
         return cantor_add(half, d, F, p) if n & 1 else half
     if not n:
-        return _neutral(F)
+        return _NEUTRAL
     acc = d
     for bit in bin(n)[3:]:
         acc = cantor_add(acc, acc, F, p)
@@ -315,8 +309,8 @@ def cantor_mul(n: int, d, F: list[int], p: int):
 
 
 def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
-    """Divisors (x - x0, y0) for every x0 = 0, 1, 2, ... with F(x0) a
-    square, on a real model with n = 0, the class of P - inf+; y0 is read
+    """Divisors (x - x0, y0, 0) for every x0 = 0, 1, 2, ... with F(x0) a
+    square, on a real model the class of P - inf+; y0 is read
     from a table of square roots, root[a^2 mod p] = a for
     0 <= a <= (p-1)/2."""
     half = np.arange((p + 1) // 2, dtype=np.int64)
@@ -328,13 +322,12 @@ def _jacobian_points(F: list[int], chi: np.ndarray, p: int):
             value = (value * x0 + c) % p
         if chi[value] >= 0:
             y0 = int(root[value])
-            point = [-x0 % p, 1], [y0] if y0 else []
-            yield point + (0,) if len(F) == 7 else point
+            yield [-x0 % p, 1], [y0] if y0 else [], 0
 
 
 def _key(d):
     """A divisor class as a dict key: its reduced form, unique to it."""
-    return (tuple(d[0]), tuple(d[1])) + d[2:]
+    return tuple(d[0]), tuple(d[1]), d[2]
 
 
 def _killers(F: list[int], D, base: int, candidates: range, p: int) -> range:
@@ -353,12 +346,11 @@ def _killers(F: list[int], D, base: int, candidates: range, p: int) -> range:
     count = len(candidates)
     if not count:
         return candidates
-    neutral = _neutral(F)
     E = cantor_mul(candidates.step, D, F, p)
     m = math.isqrt(count - 1) + 1
-    baby, step = {}, neutral
+    baby, step = {}, _NEUTRAL
     for j in range(m):
-        if j and step == neutral:
+        if j and step == _NEUTRAL:
             break
         baby[_key(step)] = j
         step = cantor_add(step, E, F, p)
@@ -403,13 +395,31 @@ def _jacobian_survivors(F, base: int, candidates: range, chi, p: int) -> range:
     return candidates
 
 
+def _count_ext2(f: list[int], p: int, chi: np.ndarray) -> int:
+    """Count over F_{p^2} = F_p[t]/(t^2 - d) for f mod p, ascending, d the
+    smallest nonresidue, by Horner and chi_p of the norm.  Conjugates have
+    equal norms, so b > 0 up to (p-1)/2 counts twice.  Both points at
+    infinity of even deg f are rational: lc(f) is a square in F_{p^2}."""
+    d, square = int(np.argmax(chi < 0)), chi.tolist()
+    coeffs = f[::-1]
+    char_sum = 0
+    for b in range((p + 1) // 2):
+        row = 0
+        for a in range(p):
+            u = v = 0
+            for c in coeffs:
+                u, v = (u * a + v * b * d + c) % p, (u * b + v * a) % p
+            row += square[(u * u - d * v * v) % p]
+        char_sum += row if b == 0 else 2 * row
+    return p * p + char_sum + (1 if len(f) % 2 == 0 else 2)
+
+
 def hasse_witt_lpoly(
     f_coeffs: tuple[int, ...], p: int, c1: int, chi: np.ndarray, values: np.ndarray
-) -> Optional[LPoly]:
+) -> LPoly:
     """The genus-2 L-polynomial at an odd good prime p, given c1 from the
     F_p count, the character table chi and values = f mod p at every x in
-    F_p; None when the Jacobian points leave more than one c2, so the
-    caller has to enumerate F_{p^2}.
+    F_p.
 
     The Jacobian searched is that of the monic model, a twist when s = -1,
     so its order is P(1) with s c1 in place of c1.  BSGS first finds the c2
@@ -417,9 +427,11 @@ def hasse_witt_lpoly(
     the answer, and W is not built, so tr W = -c1 goes unchecked on those
     primes.  Otherwise W keeps the c2 = det W mod p among BSGS's, whose
     P(1) are the multiples of ord(D) in range, and the Jacobian points
-    pick among what is left.  LPolyValidationError when no c2 kills D or
-    survives, or W contradicts c1, which would be a bug; a c1 outside the
-    Weil bound c1^2 <= 16p leaves no candidate.
+    pick among what is left.  Where they leave more than one c2, F_{p^2}
+    is enumerated in O(p^2) steps and the L-polynomial read from both
+    counts.  LPolyValidationError when no c2 kills D or survives, or W
+    contradicts c1, which would be a bug; a c1 outside the Weil bound
+    c1^2 <= 16p leaves no candidate.
     """
     f = [a % p for a in f_coeffs]
     F, s = monic_model(f, p, chi, values)
@@ -438,5 +450,5 @@ def hasse_witt_lpoly(
     if not candidates:
         raise LPolyValidationError(f"no c2 in the Weil bound fits the Jacobian at p={p}")
     if len(candidates) > 1:
-        return None
+        return lpoly_from_counts(2, p, p + 1 + c1, _count_ext2(f, p, chi))
     return LPoly(genus=2, p=p, c1=c1, c2=candidates[0])

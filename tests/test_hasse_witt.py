@@ -64,7 +64,7 @@ def jacobian_points(curve, p):
     return F, s, list(hasse_witt._jacobian_points(F, character_table(p), p))
 
 
-def must_not_count(curve, p, chi):
+def must_not_count(f, p, chi):
     raise AssertionError("the F_{p^2} count ran")
 
 
@@ -89,6 +89,13 @@ def spy_w(monkeypatch):
 
 def squarefree(F, p):
     return poly_gcd(F, poly_derivative(F, p), p) == [1]
+
+
+def negate(d, F, p):
+    """-d: (u, -v, n) on a quintic; on a real model the hyperelliptic
+    involution swaps inf+ and inf-, so n becomes 2 - deg u - n."""
+    u, v, n = d
+    return u, [-c % p for c in v], 3 - len(u) - n if len(F) == 7 else n
 
 
 def test_hasse_witt_matches_the_coefficients_of_the_power():
@@ -141,7 +148,7 @@ def test_pointless_sextic_has_the_twist_as_model_and_needs_none(monkeypatch):
     F, s = model(curve, p)
     assert s == -1 and count_points(make_curve(F), p) == 16
     expected = counted_record(curve, p)
-    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
+    monkeypatch.setattr(hasse_witt, "_count_ext2", must_not_count)
     assert record_for_prime(curve, p) == expected
 
 
@@ -181,12 +188,19 @@ def test_cantor_add_agrees_with_the_general_steps(p, degree, seed, picks):
     divisors = list(hasse_witt._jacobian_points(F, character_table(p), p))
     assume(divisors)
     general = hasse_witt._real_add if degree == 6 else hasse_witt._cantor
-    divisors.append(hasse_witt._neutral(F))
+    divisors.append(hasse_witt._NEUTRAL)
     for i, j in picks:
         d1, d2 = divisors[i % len(divisors)], divisors[j % len(divisors)]
         total = cantor_add(d1, d2, F, p)
         assert total == general(d1, d2, F, p)
         divisors.append(total)
+    # one form (u, v, n) on both models, with n fixed by u on a quintic;
+    # P + (-P) and 0 * P are the neutral class
+    for d in divisors:
+        assert isinstance(d, tuple) and len(d) == 3
+        assert degree == 6 or d[2] == int(d[0] == [1])
+        assert cantor_add(d, negate(d, F, p), F, p) == hasse_witt._NEUTRAL
+        assert cantor_mul(0, d, F, p) == hasse_witt._NEUTRAL
 
 
 def test_explicit_formulas_cover_the_generic_sum_and_double():
@@ -199,8 +213,8 @@ def test_explicit_formulas_cover_the_generic_sum_and_double():
         d2 = cantor_add(points[2], points[3], F, p)
         for a, b in ((d1, d2), (d1, d1), (d2, d2)):
             fast = hasse_witt._add_weight_two(a, b, F, p)
-            assert fast is not None and len(fast[0]) == 3
-            assert fast + a[2:] == general(a, b, F, p)
+            assert fast is not None and len(fast[0]) == 3 and fast[2] == 0
+            assert fast == general(a, b, F, p)
 
 
 @pytest.mark.parametrize("f_coeffs", [[2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]])
@@ -220,7 +234,7 @@ def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
         signs.add(s)
         assert len(F) == 7 and points
         rng = random.Random(p)
-        pool = points + [hasse_witt._REAL_NEUTRAL, ([1], [], 0), ([1], [], 2)]
+        pool = points + [hasse_witt._NEUTRAL, ([1], [], 0), ([1], [], 2)]
         for _ in range(12):
             pool.append(cantor_mul(rng.randrange(1, p * p), rng.choice(points), F, p))
         for _ in range(30):
@@ -233,7 +247,7 @@ def test_real_model_sum_is_a_group_law_killed_by_the_order(f_coeffs):
             assert cantor_add(total, c, F, p) == cantor_add(a, cantor_add(b, c, F, p), F, p)
             pool.append(total)
         for d in pool:
-            assert cantor_mul(order, d, F, p) == hasse_witt._REAL_NEUTRAL
+            assert cantor_mul(order, d, F, p) == hasse_witt._NEUTRAL
         assert cantor_mul(order + 1, points[0], F, p) == points[0]
     assert signs == ({1} if f_coeffs[-1] == 1 else {1, -1})
 
@@ -244,11 +258,12 @@ def test_jacobian_order_kills_every_point():
         lp = lpoly_from_counts(2, p, count_points(curve, p, 1), count_ext2(curve, p))
         order = sum(lp.coefficients())  # P(1) = #J(F_p)
         F, _, points = jacobian_points(curve, p)
-        for (u, v) in points:
+        for (u, v, n) in points:
             x0, y0 = -u[0] % p, (v or [0])[0]
             assert (y0 * y0 - sum(c * pow(x0, i, p) for i, c in enumerate(F))) % p == 0
+            assert n == 0
         for point in points:
-            assert cantor_mul(order, point, F, p) == ([1], [])
+            assert cantor_mul(order, point, F, p) == hasse_witt._NEUTRAL
             assert cantor_mul(order + 1, point, F, p) == point
 
 
@@ -328,7 +343,7 @@ def test_two_torsion_first_point_leaves_survivors_apart(monkeypatch):
     without_bsgs(monkeypatch)
     curve, p = make_curve([0, -2, -2, -2, -1, 1]), 11
     F, _, points = jacobian_points(curve, p)
-    assert points[0] == ([0, 1], [])
+    assert points[0] == ([0, 1], [], 0)
     expected = counted_record(curve, p)
     c1 = expected.c1
     candidates = [c2 for c2 in range(expected.c2 % p - 3 * p, 7 * p, p) if weil_ok(p, c1, c2)]
@@ -339,23 +354,33 @@ def test_two_torsion_first_point_leaves_survivors_apart(monkeypatch):
     assert (lp.c1, lp.c2) == (expected.c1, expected.c2)
 
 
-@pytest.mark.parametrize("f_coeffs,p,decided", [
+@pytest.mark.parametrize("f_coeffs,p,jacobian_decides", [
     ([0, -1, 0, 0, 0, 1], 3, False),  # x^5 - x vanishes on all of F_3
     ([0, -1, 0, 0, 0, 1], 5, False),  # and on all of F_5
     ([7, 1, 0, 2, 0, 3], 7, True),  # f(0) = 0 mod p, a quintic
     ([14, 1, 1, 0, 1, 0, 1], 7, True),  # and a sextic, whose first root is 0
     ([0, -2, -2, -2, -1, 1], 7, False),  # c2 left open above 5 as well
 ])
-def test_small_primes_and_f_vanishing_at_zero_match_the_count(f_coeffs, p, decided):
+def test_small_primes_and_f_vanishing_at_zero_match_the_count(monkeypatch, f_coeffs, p,
+                                                              jacobian_decides):
     # W comes from h^n for f = x h; where every point of F_p lies on
     # y = 0, the Jacobian points leave c2 open and the count decides
     curve = make_curve(f_coeffs)
     expected = counted_record(curve, p)
     assert hasse_witt.hasse_witt([a % p for a in f_coeffs], p) == (-expected.c1 % p,
                                                                   expected.c2 % p)
+    counted = []
+    ext2 = hasse_witt._count_ext2
+
+    def spy(f, p, chi):
+        counted.append(p)
+        return ext2(f, p, chi)
+
+    monkeypatch.setattr(hasse_witt, "_count_ext2", spy)
     lp = hasse_witt_lpoly(curve.f_coeffs, p, expected.c1, character_table(p), values(curve, p))
-    assert (lp is not None) == decided
-    assert lp is None or (lp.c1, lp.c2) == (expected.c1, expected.c2)
+    assert (lp.c1, lp.c2) == (expected.c1, expected.c2)
+    # the enumeration of F_{p^2} runs exactly where the Jacobian leaves c2 open
+    assert counted == ([] if jacobian_decides else [p])
     assert record_for_prime(curve, p) == expected
 
 
@@ -372,10 +397,10 @@ def test_jacobian_points_lie_on_the_curve(p, seed):
 
     points = list(hasse_witt._jacobian_points(F, character_table(p), p))
     xs = [x for x in range(p) if legendre(p, at(x)) >= 0]
-    assert [-u[0] % p for u, _ in points] == xs
-    for u, v in points:
+    assert [-u[0] % p for u, _, _ in points] == xs
+    for u, v, n in points:
         x0, y0 = -u[0] % p, (v or [0])[0]
-        assert len(u) == 2 and u[1] == 1 and v != [0]
+        assert len(u) == 2 and u[1] == 1 and v != [0] and n == 0
         assert (y0 * y0 - at(x0)) % p == 0
 
 
@@ -385,16 +410,14 @@ def test_unresolved_candidates_fall_back_to_the_count(monkeypatch):
     curve, p = make_curve([1, -1, 0, 0, 0, 1]), 1021
     expected = counted_record(curve, p)
     counted = []
-    ext2 = counting._count_ext2
+    ext2 = hasse_witt._count_ext2
 
-    def spy(curve, p, chi):
+    def spy(f, p, chi):
         counted.append(p)
-        return ext2(curve, p, chi)
+        return ext2(f, p, chi)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_points", lambda F, chi, p: iter(()))
-    monkeypatch.setattr(counting, "_count_ext2", spy)
-    assert hasse_witt_lpoly(curve.f_coeffs, p, expected.c1, character_table(p),
-                            values(curve, p)) is None
+    monkeypatch.setattr(hasse_witt, "_count_ext2", spy)
     assert record_for_prime(curve, p) == expected
     assert counted == [p]
 
@@ -406,7 +429,7 @@ def check_the_first_rootless_primes(monkeypatch, bsgs):
     built = spy_w(monkeypatch)
     if not bsgs:
         without_bsgs(monkeypatch)
-    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
+    monkeypatch.setattr(hasse_witt, "_count_ext2", must_not_count)
     for f_coeffs in ([2, 3, -1, 0, 1, 5, 1], [3, -1, -1, 3, -1, -2, 2]):
         curve = make_curve(f_coeffs)
         p = next(p for p in counting.good_primes(curve, 2000)
@@ -461,7 +484,7 @@ def check_rootless_sextics_against_the_count(monkeypatch, bsgs):
         return survivors(F, base, candidates, chi, p)
 
     monkeypatch.setattr(hasse_witt, "_jacobian_survivors", spy)
-    monkeypatch.setattr(counting, "_count_ext2", must_not_count)
+    monkeypatch.setattr(hasse_witt, "_count_ext2", must_not_count)
     built = spy_w(monkeypatch)
     if not bsgs:
         without_bsgs(monkeypatch)
@@ -529,18 +552,18 @@ def test_one_character_table_per_prime(monkeypatch, f_coeffs, primes):
         evaluated.append(p)
         return evaluate(coeffs, p)
 
-    def counted_ext2(curve, p, chi):
+    def counted_ext2(f, p, chi):
         ext2.append(p)
-        return enumerate_ext2(curve, p, chi)
+        return enumerate_ext2(f, p, chi)
 
     check, evaluate = counting._check_reduction, counting._values_mod_p
-    enumerate_ext2 = counting._count_ext2
+    enumerate_ext2 = hasse_witt._count_ext2
     monkeypatch.setattr(counting, "character_table", counted_table)
     monkeypatch.setattr(counting, "_check_reduction", counted_check)
     monkeypatch.setattr(arith, "is_prime", counted_is_prime)
     monkeypatch.setattr(counting, "is_prime", counted_is_prime)
     monkeypatch.setattr(counting, "_values_mod_p", counted_values)
-    monkeypatch.setattr(counting, "_count_ext2", counted_ext2)
+    monkeypatch.setattr(hasse_witt, "_count_ext2", counted_ext2)
     curve = make_curve(f_coeffs)
     for p in primes:
         record_for_prime(curve, p)
@@ -596,7 +619,7 @@ def test_base_points_skip_the_weierstrass_points_of_x5_minus_x():
         if p <= 5:
             assert D is None and not moving
             continue
-        assert points[:2] == [([0, 1], []), ([p - 1, 1], [])]
+        assert points[:2] == [([0, 1], [], 0), ([p - 1, 1], [], 0)]
         assert -moving[0][0][0] % p not in (0, 1, p - 1)
         assert D == cantor_add(moving[0], moving[1], F, p)
         assert cantor_add(D, D, F, p) != hasse_witt._NEUTRAL
@@ -629,7 +652,8 @@ def test_bsgs_keeps_exactly_the_c2_whose_order_kills_the_class(
     D = points[pick % len(points)]
     if double:
         D = cantor_add(D, points[(pick + 1) % len(points)], F, p)
-    base, neutral = p * p + 50, hasse_witt._neutral(F)
+    base = p * p + 50
     candidates = range(start, start + step * count, step)
     kept = hasse_witt._killers(F, D, base, candidates, p)
-    assert list(kept) == [c2 for c2 in candidates if cantor_mul(base + c2, D, F, p) == neutral]
+    assert list(kept) == [c2 for c2 in candidates
+                          if cantor_mul(base + c2, D, F, p) == hasse_witt._NEUTRAL]

@@ -398,6 +398,20 @@ def test_cli_chebotarev_refused_bound_exit_2(n, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["1,,0,0,1", "1,1,0,1,"])
+def test_cli_empty_coefficient_field_exit_2(tmp_path, capsys, f):
+    # an empty field used to be dropped, so 1,,0,0,1 scanned x^3 + 1
+    out = tmp_path / "s.jsonl"
+    assert cli.main(["scan", "--f", f, "--N", "50", "--out", str(out)]) == 2
+    assert "bad coefficient list" in capsys.readouterr().err
+    assert not out.exists()
+    csv_out = tmp_path / "cheb.csv"
+    argv = ["chebotarev", "--poly", f, "--group", "(1 2 3)", "--N", "100", "--out", str(csv_out)]
+    assert cli.main(argv) == 2
+    assert "bad coefficient list" in capsys.readouterr().err
+    assert not csv_out.exists()
+
+
 def test_cli_chebotarev_malformed_group_exit_2(capsys):
     # the stray 3 used to be dropped
     argv = ["chebotarev", "--poly=-2,0,0,1", "--group", "(1 2) 3", "--N", "100"]

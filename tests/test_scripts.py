@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/: each main() runs at a tiny
 size and finishes cleanly."""
 
+import hashlib
 import importlib.util
 import os
 import sys
@@ -39,3 +40,13 @@ def test_record_sweep_counts_the_routes(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["record_sweep.py", "--N", "14", "--out", os.devnull])
     _main("record_sweep")()
     assert "253 records; c2 by BSGS 168, by W 39, by the walk 46;" in capsys.readouterr().out
+
+
+def test_record_sweep_records_are_pinned(monkeypatch, tmp_path):
+    # every record of the sweep to N = 14, and its closing line of F_{p^2}
+    # enumerations, byte for byte
+    out = tmp_path / "sweep.jsonl"
+    monkeypatch.setattr(sys, "argv", ["record_sweep.py", "--N", "14", "--out", str(out)])
+    _main("record_sweep")()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c2c05bf8fc86f0ecb459c71c598ff4f2ba993051e248587ab56a8c5c018616e0"
